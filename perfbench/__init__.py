@@ -1,0 +1,1 @@
+"""The repository benchmark: see ``perfbench/README.md`` and ``perfbench/run.py``."""
