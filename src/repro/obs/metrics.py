@@ -193,7 +193,7 @@ class MetricsEmitter:
         self._start = time.perf_counter()
         self._last_emit = float("-inf")
         #: Per-epoch series ring (see repro.obs.series); None disables
-        #: sampling — drive loops probe for ``epoch_sample`` before
+        #: sampling — the fleet drive probes for ``epoch_sample`` before
         #: building points, so a disabled emitter costs nothing per epoch.
         self._series = SeriesBuffer(series_budget) if series_budget else None
 

@@ -5,9 +5,9 @@ run got; they cannot say *when* a fault window degraded throughput or how
 the billing error grew.  A :class:`SeriesPoint` is one epoch-indexed
 reading of the counters the engines already maintain — completions,
 shared-stall fraction, fault injections, meter drops, billing error —
-sampled inside the instrumented drive loops (vector sweep and stream
-replay; the scalar backend advances machine-by-machine and keeps its
-cumulative snapshots instead).
+sampled inside the vector fleet drive that both the batch sweep and the
+stream replay step (the scalar backend advances machine-by-machine and
+keeps its cumulative snapshots instead).
 
 A week-long replay steps hundreds of millions of epochs, so raw
 per-epoch retention is a non-starter.  :class:`SeriesBuffer` bounds the

@@ -28,6 +28,7 @@ merge results identical to the single-process run.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -262,23 +263,43 @@ def _fault_boundaries(
     return sorted(by_time.items())
 
 
+def _segment_target(time_seconds: float, until: float) -> float:
+    """The float target of a segment entered at ``time_seconds``.
+
+    Written as ``time + (until - time)`` so that accumulated float error in
+    the engine clock cancels identically on every engine and drive: the
+    target depends only on the clock at segment entry, never on where a
+    run pauses inside the segment.
+    """
+    return time_seconds + (until - time_seconds)
+
+
+def _step_toward(engine, target: float, max_epochs: float = math.inf, on_epoch=None) -> int:
+    """Step ``engine`` toward ``target``, at most ``max_epochs`` epochs.
+
+    Stops within one epoch of the target; returns the epochs stepped, so
+    fewer than ``max_epochs`` means the target was reached.  ``on_epoch``
+    (when given) runs after every stepped epoch.
+    """
+    stepped = 0
+    while stepped < max_epochs and engine.time_seconds < target - 1e-12:
+        engine.run_epoch()
+        stepped += 1
+        if on_epoch is not None:
+            on_epoch()
+    return stepped
+
+
 def advance_to_boundary(engine, until: float, *, on_epoch=None) -> None:
     """Step ``engine`` epoch-by-epoch up to the segment boundary ``until``.
 
-    The one piece of arithmetic both backends must share for segmented
-    horizons to agree: the target is computed as
-    ``time + (until - time)`` so that accumulated float error in the
-    engine clock cancels identically on either engine, and the loop stops
-    within one epoch of the boundary.  Used by the fault windows here and
-    by the hardware-drift boundaries of :mod:`repro.calibrate.drift` —
-    any engine exposing ``time_seconds`` and ``run_epoch()`` qualifies.
-    ``on_epoch`` (when given) runs after every stepped epoch.
+    The segment arithmetic of :class:`FleetDrive`, for callers that drive
+    an engine themselves — the hardware-drift boundaries of
+    :mod:`repro.calibrate.measure` on either backend.  Any engine exposing
+    ``time_seconds`` and ``run_epoch()`` qualifies.  ``on_epoch`` (when
+    given) runs after every stepped epoch.
     """
-    target = engine.time_seconds + (until - engine.time_seconds)
-    while engine.time_seconds < target - 1e-12:
-        engine.run_epoch()
-        if on_epoch is not None:
-            on_epoch()
+    _step_toward(engine, _segment_target(engine.time_seconds, until), on_epoch=on_epoch)
 
 
 def _throttle_scale(active_factors: Sequence[float]) -> float:
@@ -289,22 +310,36 @@ def _throttle_scale(active_factors: Sequence[float]) -> float:
     return scale
 
 
+def _fault_totals(
+    counters: Sequence[Optional[FaultCounters]],
+    ledgers: Sequence[Optional[MeteringLedger]],
+) -> Tuple[int, int, int, float, float]:
+    """Fleet-wide (injections, dropped, duplicated, billed, true) sums.
+
+    The one reading behind both progress payloads and per-epoch
+    :class:`~repro.obs.series.SeriesPoint`\\ s, summed in scenario order.
+    """
+    injections = dropped = duplicated = 0
+    billed = true = 0.0
+    for counter in counters:
+        if counter is not None:
+            injections += counter.spike_submissions + counter.neighbor_submissions
+    for ledger in ledgers:
+        if ledger is not None:
+            dropped += ledger.dropped
+            duplicated += ledger.duplicated
+            billed += ledger.billed_total
+            true += ledger.true_total
+    return injections, dropped, duplicated, billed, true
+
+
+@dataclass
 class _BurstState:
     """Vector-side burst bookkeeping: one instance per opened burst window."""
 
-    __slots__ = ("fault", "end_seconds", "mixers", "scenario_index")
-
-    def __init__(
-        self,
-        fault: FaultSpec,
-        end_seconds: float,
-        mixers: Dict[int, WorkloadMixer],
-        scenario_index: int,
-    ) -> None:
-        self.fault = fault
-        self.end_seconds = end_seconds
-        self.mixers = mixers
-        self.scenario_index = scenario_index
+    fault: FaultSpec
+    end_seconds: float
+    mixers: Dict[int, WorkloadMixer]
 
 
 def scenario_grid(
@@ -446,8 +481,8 @@ class FleetSweep:
         ``progress``, when given, receives payload dicts (see
         :mod:`repro.obs`) a few times per second while the sweep advances,
         plus one final payload with ``done=True``.  Observability never
-        changes results: the instrumented paths step the same epochs with
-        the same arithmetic as the plain ones.
+        changes results: callbacks only read counters, and the vector
+        :class:`FleetDrive` steps the same epochs with or without one.
         """
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
@@ -485,8 +520,8 @@ class FleetSweep:
         Seeded per machine (``fault.seed`` + the machine's index within its
         scenario) so decisions depend only on that machine's own completion
         order — shard membership and co-resident scenarios cannot change
-        them.  When a spec declares several faults of the same meter type
-        matching one scenario, the last one wins.
+        them.  Specs declare at most one fault of each meter type per
+        scenario (:func:`repro.scenarios.expand_grid` rejects duplicates).
         """
         drop_p = dup_p = 0.0
         drop_seed = dup_seed = 0
@@ -559,17 +594,7 @@ class FleetSweep:
         ledgers: Sequence[Optional[MeteringLedger]],
         done: bool = False,
     ) -> Dict[str, object]:
-        injections = dropped = duplicated = 0
-        billed = true = 0.0
-        for counter in counters:
-            if counter is not None:
-                injections += counter.spike_submissions + counter.neighbor_submissions
-        for ledger in ledgers:
-            if ledger is not None:
-                dropped += ledger.dropped
-                duplicated += ledger.duplicated
-                billed += ledger.billed_total
-                true += ledger.true_total
+        injections, dropped, duplicated, billed, true = _fault_totals(counters, ledgers)
         return {
             "backend": backend,
             "scenarios_total": len(self._scenarios),
@@ -592,283 +617,10 @@ class FleetSweep:
     def _run_vector(
         self, progress: Optional[ProgressCallback] = None
     ) -> List[ScenarioResult]:
-        spec = self._machine
-        total_machines = sum(s.machines for s in self._scenarios)
-        engine = VectorEngine(
-            spec,
-            machines=total_machines,
-            config=VectorEngineConfig(epoch_seconds=self._epoch_seconds),
-            materialize_handles=False,
-            initial_capacity=max(4 * self.fleet_size, 1024),
-        )
-        mixers: Dict[int, Mixer] = {}
-        scenario_of_machine: Dict[int, int] = {}
-        submitted = [0] * len(self._scenarios)
-        completed = [0] * len(self._scenarios)
-        machine_offset = [0] * len(self._scenarios)
-
-        offset = 0
-        for s, scenario in enumerate(self._scenarios):
-            cores = scenario.cores(spec)
-            machine_offset[s] = offset
-            for machine in range(offset, offset + scenario.machines):
-                scenario_of_machine[machine] = s
-                mixers[machine] = self._make_mixer(scenario, machine - offset)
-                for thread in range(cores):
-                    for _ in range(scenario.colocation):
-                        engine.submit(
-                            mixers[machine].next(), machine=machine, thread_id=thread
-                        )
-                        submitted[s] += 1
-            offset += scenario.machines
-
-        ledgers: List[Optional[MeteringLedger]] = [
-            MeteringLedger() if self._scenario_metered(s) else None
-            for s in self._scenarios
-        ]
-        fault_counters: List[Optional[FaultCounters]] = [
-            FaultCounters() if s.faults else None for s in self._scenarios
-        ]
-        boundaries: Dict[float, List[Tuple[int, _BoundaryAction]]] = {}
-        for s, scenario in enumerate(self._scenarios):
-            if fault_counters[s] is not None:
-                fault_counters[s].throttled_machine_epochs = (
-                    self._nominal_throttled_epochs(scenario)
-                )
-            for when, actions in _fault_boundaries(scenario.faults, self._horizon):
-                boundaries.setdefault(when, []).extend((s, a) for a in actions)
-        plain = (
-            progress is None
-            and not boundaries
-            and not any(ledger is not None for ledger in ledgers)
-        )
-
-        if plain:
-
-            def on_finish(index: object, eng: VectorEngine) -> None:
-                machine = int(eng.machine_of[index])
-                thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
-                s = scenario_of_machine[machine]
-                completed[s] += 1
-                eng.submit(mixers[machine].next(), machine=machine, thread_id=thread)
-                submitted[s] += 1
-
-            engine.add_finish_listener(on_finish)
-            engine.run_for(self._horizon)
-        else:
-            self._run_vector_instrumented(
-                engine,
-                mixers,
-                scenario_of_machine,
-                machine_offset,
-                submitted,
-                completed,
-                ledgers,
-                fault_counters,
-                boundaries,
-                progress,
-            )
-
-        for s in range(len(self._scenarios)):
-            self._fill_meter_counts(fault_counters[s], ledgers[s])
-
-        results: List[ScenarioResult] = []
-        offset = 0
-        for s, scenario in enumerate(self._scenarios):
-            machines = range(offset, offset + scenario.machines)
-            instructions = cycles = stall = l3 = 0.0
-            for machine in machines:
-                counters = engine.machine_counters(machine)
-                instructions += counters.instructions
-                cycles += counters.cycles
-                stall += counters.stall_cycles_l2_miss
-                l3 += counters.l3_misses
-            results.append(
-                ScenarioResult(
-                    name=scenario.name,
-                    backend="vector",
-                    fleet_size=scenario.fleet_size(spec),
-                    machines=scenario.machines,
-                    colocation=scenario.colocation,
-                    submitted=submitted[s],
-                    completed=completed[s],
-                    simulated_seconds=self._horizon,
-                    instructions=instructions,
-                    cycles=cycles,
-                    stall_cycles=stall,
-                    l3_misses=l3,
-                    billing=None if ledgers[s] is None else ledgers[s].freeze(),
-                    fault_stats=(
-                        None
-                        if fault_counters[s] is None
-                        else fault_counters[s].freeze()
-                    ),
-                )
-            )
-            offset += scenario.machines
-        return results
-
-    def _run_vector_instrumented(
-        self,
-        engine: VectorEngine,
-        mixers: Dict[int, Mixer],
-        scenario_of_machine: Dict[int, int],
-        machine_offset: List[int],
-        submitted: List[int],
-        completed: List[int],
-        ledgers: List[Optional[MeteringLedger]],
-        fault_counters: List[Optional[FaultCounters]],
-        boundaries: Dict[float, List[Tuple[int, "_BoundaryAction"]]],
-        progress: Optional[ProgressCallback],
-    ) -> None:
-        """The fault/metering/metrics-aware vector drive loop.
-
-        Steps the very same epochs as ``run_for`` would — the horizon is
-        segmented at fault boundaries with the identical
-        ``target = time + (boundary - time)`` float arithmetic, so with no
-        faults declared this path is bit-exact against the plain one.
-        """
-        injectors: Dict[int, MeterFaultInjector] = {}
-        for machine, s in scenario_of_machine.items():
-            if ledgers[s] is not None:
-                injector = self._meter_injector(
-                    self._scenarios[s], machine - machine_offset[s]
-                )
-                if injector is not None:
-                    injectors[machine] = injector
-        burst_of: Dict[int, _BurstState] = {}
-
-        def on_finish(index: object, eng: VectorEngine) -> None:
-            machine = int(eng.machine_of[index])
-            s = scenario_of_machine[machine]
-            burst = burst_of.pop(index, None)
-            if burst is not None:
-                fault_counters[s].count_burst_finish(burst.fault.type)
-                if eng.time_seconds < burst.end_seconds:
-                    replacement = eng.submit(
-                        burst.mixers[machine].next(), machine=machine
-                    )
-                    burst_of[replacement] = burst
-                    fault_counters[s].count_burst_submit(burst.fault.type)
-                return
-            ledger = ledgers[s]
-            if ledger is not None:
-                function = eng.invocation_spec(index)
-                injector = injectors.get(machine)
-                ledger.observe(
-                    function.abbreviation,
-                    function.memory_gb,
-                    eng.invocation_elapsed_seconds(index),
-                    injector.copies() if injector is not None else 1,
-                )
-            thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
-            completed[s] += 1
-            eng.submit(mixers[machine].next(), machine=machine, thread_id=thread)
-            submitted[s] += 1
-
-        engine.add_finish_listener(on_finish)
-
-        epochs_total = int(round(self._horizon / self._epoch_seconds))
-
-        def emit(done: bool = False) -> None:
-            if progress is None:
-                return
-            progress(
-                self._progress_payload(
-                    "vector",
-                    scenarios_done=len(self._scenarios) if done else 0,
-                    epochs_done=engine.stats.epochs,
-                    epochs_total=epochs_total,
-                    completions=sum(completed),
-                    submissions=sum(submitted),
-                    counters=fault_counters,
-                    ledgers=ledgers,
-                    done=done,
-                )
-            )
-
-        # Per-epoch series sampling is duck-typed: a MetricsEmitter with a
-        # series budget exposes ``epoch_sample`` (repro.obs.series); plain
-        # callbacks don't, and pay nothing.  Sampling is read-only — it
-        # sums counters the engines already maintain — so it cannot
-        # perturb the simulated numbers.
-        sampler = (
-            None if progress is None else getattr(progress, "epoch_sample", None)
-        )
-
-        def sample_epoch() -> None:
-            injections = dropped = 0
-            billed = true = 0.0
-            for counter in fault_counters:
-                if counter is not None:
-                    injections += (
-                        counter.spike_submissions + counter.neighbor_submissions
-                    )
-            for ledger in ledgers:
-                if ledger is not None:
-                    dropped += ledger.dropped
-                    billed += ledger.billed_total
-                    true += ledger.true_total
-            sampler(
-                SeriesPoint(
-                    shard="",
-                    epoch=int(engine.stats.epochs),
-                    time_seconds=float(engine.time_seconds),
-                    completions=sum(completed),
-                    shared_stall_fraction=engine.fleet_shared_stall_fraction,
-                    fault_injections=injections,
-                    meter_dropped=dropped,
-                    billing_error_fraction=(
-                        (billed - true) / true if true > 0 else 0.0
-                    ),
-                )
-            )
-
-        def on_epoch() -> None:
-            if sampler is not None:
-                sample_epoch()
-            if progress is not None and engine.stats.epochs % 64 == 0:
-                emit()
-
-        def advance(until: float) -> None:
-            advance_to_boundary(engine, until, on_epoch=on_epoch)
-
-        active_factors: List[List[float]] = [[] for _ in self._scenarios]
-        for when, entries in sorted(boundaries.items()):
-            advance(when)
-            for s, action in entries:
-                scenario = self._scenarios[s]
-                first = machine_offset[s]
-                fleet = range(first, first + scenario.machines)
-                if action.kind == "burst-open":
-                    burst = _BurstState(
-                        fault=action.fault,
-                        end_seconds=action.window[1],
-                        mixers={
-                            machine: self._burst_mixer(
-                                scenario, action.fault, machine - first
-                            )
-                            for machine in fleet
-                        },
-                        scenario_index=s,
-                    )
-                    for machine in fleet:
-                        for _ in range(action.fault.count):
-                            index = engine.submit(
-                                burst.mixers[machine].next(), machine=machine
-                            )
-                            burst_of[index] = burst
-                            fault_counters[s].count_burst_submit(action.fault.type)
-                else:
-                    if action.kind == "throttle-open":
-                        active_factors[s].append(action.fault.factor)
-                    else:
-                        active_factors[s].remove(action.fault.factor)
-                    engine.set_frequency_scale(
-                        fleet, _throttle_scale(active_factors[s])
-                    )
-        advance(self._horizon)
-        emit(done=True)
+        drive = FleetDrive(self)
+        drive.progress = progress
+        drive.step()
+        return drive.results()
 
     # ------------------------------------------------------------------ #
     # Scalar backend: the fast-path engine, machine by machine
@@ -1037,3 +789,286 @@ class FleetSweep:
                 )
             )
         return results
+
+
+class FleetDrive:
+    """The resumable vector drive of a whole scenario grid.
+
+    Every machine of every scenario lives in one
+    :class:`~repro.platform.batch.VectorEngine`.  Construction performs the
+    full set-up (engine, seeded churn mixers, initial fleet submission,
+    ledgers, fault counters, meter injectors) but steps zero epochs;
+    :meth:`step` moves time forward and may stop after *any* epoch.
+
+    The horizon is one sorted timeline of segments: every fault boundary
+    in time order, then a sentinel segment ending at the horizon.  Each
+    segment's float target is computed once, on entry, with
+    :func:`_segment_target`, so where :meth:`step` calls pause cannot
+    change a single epoch — :meth:`FleetSweep.run` steps a drive to the
+    horizon in one call, :class:`repro.serve.StreamReplay` steps it chunk
+    by chunk, and both see bit-identical engines.
+
+    The drive pickles (it is the state of a stream checkpoint): the
+    progress callback is dropped and the finish listener re-attached on
+    restore.  ``backend`` labels progress payloads and results.
+    """
+
+    def __init__(self, sweep: FleetSweep, *, backend: str = "vector") -> None:
+        self.sweep = sweep
+        self.backend = backend
+        self.scenarios = scenarios = sweep.scenarios
+        spec = sweep.machine_spec
+        self.engine = engine = VectorEngine(
+            spec,
+            machines=sum(s.machines for s in scenarios),
+            config=VectorEngineConfig(epoch_seconds=sweep.epoch_seconds),
+            materialize_handles=False,
+            initial_capacity=max(4 * sweep.fleet_size, 1024),
+        )
+        #: Progress callback (a ``repro.obs`` payload consumer), or ``None``.
+        self.progress: Optional[ProgressCallback] = None
+        self.submitted = [0] * len(scenarios)
+        self.completed = [0] * len(scenarios)
+        self.ledgers: List[Optional[MeteringLedger]] = [
+            MeteringLedger() if sweep._scenario_metered(s) else None for s in scenarios
+        ]
+        self.fault_counters: List[Optional[FaultCounters]] = [
+            FaultCounters() if s.faults else None for s in scenarios
+        ]
+        self._mixers: Dict[int, Mixer] = {}
+        self._scenario_of_machine: Dict[int, int] = {}
+        self._machine_offset: List[int] = []
+        self._injectors: Dict[int, MeterFaultInjector] = {}
+        boundaries: Dict[float, List[Tuple[int, _BoundaryAction]]] = {}
+        offset = 0
+        for s, scenario in enumerate(scenarios):
+            cores = scenario.cores(spec)
+            self._machine_offset.append(offset)
+            for machine in range(offset, offset + scenario.machines):
+                self._scenario_of_machine[machine] = s
+                mixer = self._mixers[machine] = sweep._make_mixer(scenario, machine - offset)
+                for thread in range(cores):
+                    for _ in range(scenario.colocation):
+                        engine.submit(mixer.next(), machine=machine, thread_id=thread)
+                        self.submitted[s] += 1
+                if self.ledgers[s] is not None:
+                    injector = sweep._meter_injector(scenario, machine - offset)
+                    if injector is not None:
+                        self._injectors[machine] = injector
+            offset += scenario.machines
+            if self.fault_counters[s] is not None:
+                self.fault_counters[s].throttled_machine_epochs = (
+                    sweep._nominal_throttled_epochs(scenario)
+                )
+            for when, actions in _fault_boundaries(scenario.faults, sweep.horizon_seconds):
+                boundaries.setdefault(when, []).extend((s, a) for a in actions)
+
+        self._timeline = sorted(boundaries.items())
+        self._timeline.append((sweep.horizon_seconds, []))
+        self._segment = 0
+        #: The current segment's float target, computed once on entry.
+        self._target: Optional[float] = None
+        self._burst_of: Dict[int, _BurstState] = {}
+        self._active_factors: List[List[float]] = [[] for _ in scenarios]
+        engine.add_finish_listener(self._on_finish)
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+    @property
+    def finished(self) -> bool:
+        """Whether the drive has reached the horizon."""
+        return self._segment >= len(self._timeline)
+
+    @property
+    def epochs_total(self) -> int:
+        """Nominal epoch count of the full horizon."""
+        return int(round(self.sweep.horizon_seconds / self.sweep.epoch_seconds))
+
+    def progress_payload(self, *, done: bool = False) -> Dict[str, object]:
+        """A ``repro.obs`` metrics payload describing the current state."""
+        return self.sweep._progress_payload(
+            self.backend,
+            scenarios_done=len(self.scenarios) if done else 0,
+            epochs_done=self.engine.stats.epochs,
+            epochs_total=self.epochs_total,
+            completions=sum(self.completed),
+            submissions=sum(self.submitted),
+            counters=self.fault_counters,
+            ledgers=self.ledgers,
+            done=done,
+        )
+
+    def series_point(self) -> SeriesPoint:
+        """One epoch's :class:`~repro.obs.series.SeriesPoint` reading."""
+        injections, dropped, _, billed, true = _fault_totals(
+            self.fault_counters, self.ledgers
+        )
+        engine = self.engine
+        return SeriesPoint(
+            shard="",
+            epoch=int(engine.stats.epochs),
+            time_seconds=float(engine.time_seconds),
+            completions=sum(self.completed),
+            shared_stall_fraction=engine.fleet_shared_stall_fraction,
+            fault_injections=injections,
+            meter_dropped=dropped,
+            billing_error_fraction=(billed - true) / true if true > 0 else 0.0,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Stepping
+    # ------------------------------------------------------------------ #
+    def _on_finish(self, index: object, eng: VectorEngine) -> None:
+        machine = int(eng.machine_of[index])
+        s = self._scenario_of_machine[machine]
+        burst = self._burst_of.pop(index, None)
+        if burst is not None:
+            self.fault_counters[s].count_burst_finish(burst.fault.type)
+            if eng.time_seconds < burst.end_seconds:
+                replacement = eng.submit(burst.mixers[machine].next(), machine=machine)
+                self._burst_of[replacement] = burst
+                self.fault_counters[s].count_burst_submit(burst.fault.type)
+            return
+        ledger = self.ledgers[s]
+        if ledger is not None:
+            function = eng.invocation_spec(index)
+            injector = self._injectors.get(machine)
+            ledger.observe(
+                function.abbreviation,
+                function.memory_gb,
+                eng.invocation_elapsed_seconds(index),
+                injector.copies() if injector is not None else 1,
+            )
+        thread = int(eng.gthread[index]) - machine * eng.threads_per_machine
+        self.completed[s] += 1
+        eng.submit(self._mixers[machine].next(), machine=machine, thread_id=thread)
+        self.submitted[s] += 1
+
+    def _apply_actions(self, entries: List[Tuple[int, _BoundaryAction]]) -> None:
+        engine = self.engine
+        for s, action in entries:
+            scenario = self.scenarios[s]
+            first = self._machine_offset[s]
+            fleet = range(first, first + scenario.machines)
+            if action.kind == "burst-open":
+                burst = _BurstState(
+                    action.fault,
+                    action.window[1],
+                    {
+                        machine: self.sweep._burst_mixer(scenario, action.fault, machine - first)
+                        for machine in fleet
+                    },
+                )
+                for machine in fleet:
+                    for _ in range(action.fault.count):
+                        index = engine.submit(burst.mixers[machine].next(), machine=machine)
+                        self._burst_of[index] = burst
+                        self.fault_counters[s].count_burst_submit(action.fault.type)
+            else:
+                if action.kind == "throttle-open":
+                    self._active_factors[s].append(action.fault.factor)
+                else:
+                    self._active_factors[s].remove(action.fault.factor)
+                engine.set_frequency_scale(fleet, _throttle_scale(self._active_factors[s]))
+
+    def _epoch_hook(self) -> Optional[Callable[[], None]]:
+        """What runs after each epoch: nothing unless a callback is attached.
+
+        Per-epoch series sampling is duck-typed: a MetricsEmitter with a
+        series budget exposes ``epoch_sample`` (repro.obs.series); plain
+        callbacks don't, and pay nothing.  Sampling is read-only — it sums
+        counters the engine already maintains — so it cannot perturb the
+        simulated numbers.
+        """
+        progress = self.progress
+        if progress is None:
+            return None
+        sampler = getattr(progress, "epoch_sample", None)
+        stats = self.engine.stats
+
+        def on_epoch() -> None:
+            if sampler is not None:
+                sampler(self.series_point())
+            if stats.epochs % 64 == 0:
+                progress(self.progress_payload())
+
+        return on_epoch
+
+    def step(self, max_epochs: float = math.inf) -> int:
+        """Step at most ``max_epochs`` epochs; returns the number stepped.
+
+        The default steps to the horizon.  Fewer are stepped only when the
+        horizon is reached; boundary actions consume no epochs.  The call
+        that reaches the horizon emits the one ``done=True`` payload.
+        """
+        if max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
+        on_epoch = self._epoch_hook()
+        stepped = 0
+        while stepped < max_epochs and not self.finished:
+            until, actions = self._timeline[self._segment]
+            if self._target is None:
+                self._target = _segment_target(self.engine.time_seconds, until)
+            stepped += _step_toward(self.engine, self._target, max_epochs - stepped, on_epoch)
+            if stepped < max_epochs:  # the segment reached its target
+                self._apply_actions(actions)
+                self._segment += 1
+                self._target = None
+                if self.finished and self.progress is not None:
+                    self.progress(self.progress_payload(done=True))
+        return stepped
+
+    # ------------------------------------------------------------------ #
+    # Results and checkpoint support
+    # ------------------------------------------------------------------ #
+    def results(self) -> List[ScenarioResult]:
+        """Per-scenario results so far (the sweep's once finished)."""
+        sweep = self.sweep
+        engine = self.engine
+        results: List[ScenarioResult] = []
+        for s, scenario in enumerate(self.scenarios):
+            ledger, counters = self.ledgers[s], self.fault_counters[s]
+            sweep._fill_meter_counts(counters, ledger)
+            first = self._machine_offset[s]
+            instructions = cycles = stall = l3 = 0.0
+            for machine in range(first, first + scenario.machines):
+                machine_counters = engine.machine_counters(machine)
+                instructions += machine_counters.instructions
+                cycles += machine_counters.cycles
+                stall += machine_counters.stall_cycles_l2_miss
+                l3 += machine_counters.l3_misses
+            results.append(
+                ScenarioResult(
+                    name=scenario.name,
+                    backend=self.backend,
+                    fleet_size=scenario.fleet_size(sweep.machine_spec),
+                    machines=scenario.machines,
+                    colocation=scenario.colocation,
+                    submitted=self.submitted[s],
+                    completed=self.completed[s],
+                    simulated_seconds=sweep.horizon_seconds,
+                    instructions=instructions,
+                    cycles=cycles,
+                    stall_cycles=stall,
+                    l3_misses=l3,
+                    billing=None if ledger is None else ledger.freeze(),
+                    fault_stats=None if counters is None else counters.freeze(),
+                )
+            )
+        return results
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Progress callbacks are transient wiring (queues, emitters) and
+        # must never leak into a checkpoint; the engine drops its finish
+        # listeners itself (see VectorEngine.__getstate__).
+        state = self.__dict__.copy()
+        state["progress"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        # Re-attach the listener so a restored drive resumes the identical
+        # churn stream.
+        self.engine.add_finish_listener(self._on_finish)
+

@@ -329,13 +329,25 @@ def _traffic_for(spec: ScenarioSpec, mix: str, defs: Mapping[str, MixDef]):
         raise SpecError(f"{spec.name}: mix {mix!r}: {error}") from None
 
 
+def _check_meter_faults(spec: ScenarioSpec, scenario: str) -> None:
+    """Reject two faults of one meter type matching the same scenario."""
+    for kind in ("meter-drop", "meter-dup"):
+        found = [i for i, f in enumerate(spec.faults) if f.type == kind and f.matches(scenario)]
+        if len(found) > 1:
+            raise SpecError(
+                f"{spec.name}: faults[{found[0]}] and faults[{found[1]}]: both are "
+                f"{kind} faults matching scenario {scenario!r}; declare at most one"
+            )
+
+
 def expand_grid(spec: ScenarioSpec) -> List[FleetScenario]:
     """Expand the spec into its full scenario cross product.
 
     Returns ``spec.grid_size`` scenarios named ``{mix}-m{machines}-c{colo}``
     in deterministic (mix-major) order, every one carrying the spec's seed
     and traffic model.  Function names are *not* resolved here — that needs
-    the registry and happens in :func:`compile_spec`.
+    the registry and happens in :func:`compile_spec`.  Two faults of one
+    meter type matching the same scenario raise :class:`SpecError`.
     """
     defs = {d.name: d for d in spec.mix_definitions}
     scenarios: List[FleetScenario] = []
@@ -344,6 +356,7 @@ def expand_grid(spec: ScenarioSpec) -> List[FleetScenario]:
         for machines in spec.machines:
             for colocation in spec.colocations:
                 name = f"{mix}-m{machines}-c{colocation}"
+                _check_meter_faults(spec, name)
                 scenarios.append(
                     FleetScenario(
                         name=name,

@@ -31,7 +31,7 @@ from repro.diskcache import atomic_write_text
 from repro.serve.replay import StreamReplay
 
 #: Bump whenever the replay's pickled layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _FORMAT = "repro-stream-checkpoint"
 

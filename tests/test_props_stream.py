@@ -9,10 +9,19 @@ space for a counterexample; the reference is computed once per spec.
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import tempfile
+from pathlib import Path
 
-from repro.scenarios import compile_spec, parse_spec_text, partition_plan
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.scenarios import (
+    chunk_plan,
+    compile_spec,
+    load_spec_or_preset,
+    parse_spec_text,
+    partition_plan,
+)
 
 # Two cheap specs (~60 epochs, one scenario each): a healthy fleet and one
 # carrying an engine fault plus a meter fault, so boundary actions and
@@ -130,3 +139,72 @@ def test_any_partition_yields_identical_ledgers_under_faults(data):
 def test_single_epoch_partition_matches(text):
     total = _epochs_total(text)
     _assert_partition_matches(text, (1,) * total)
+
+
+# --------------------------------------------------------------------- #
+# Checkpoint at any epoch
+# --------------------------------------------------------------------- #
+#: Fields ``python -m repro stream --verify`` compares, stream vs batch.
+VERIFY_FIELDS = (
+    "submitted",
+    "completed",
+    "instructions",
+    "cycles",
+    "stall_cycles",
+    "l3_misses",
+    "billing",
+    "fault_stats",
+)
+
+#: chaos-smoke's fault boundaries (0.05, 0.1 and 0.2 s) and its horizon, in
+#: epochs.  A replay paused exactly there has reached the segment's target
+#: but not yet applied the boundary's actions (bursts, throttles).
+CHAOS_BOUNDARY_EPOCHS = (50, 100, 200, 250)
+
+_CHAOS = {}
+
+
+def _chaos():
+    """chaos-smoke compiled, and its metered batch vector result."""
+    if not _CHAOS:
+        compiled = compile_spec(load_spec_or_preset("chaos-smoke"))
+        _CHAOS["compiled"] = compiled
+        _CHAOS["batch"] = compiled.sweep(meter=True).run("vector")
+    return _CHAOS["compiled"], _CHAOS["batch"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    epoch=st.one_of(st.sampled_from(CHAOS_BOUNDARY_EPOCHS), st.integers(0, 250)),
+    first_chunk=st.integers(1, 64),
+    second_chunk=st.integers(1, 64),
+)
+def test_checkpoint_at_any_epoch_resumes_bit_exact(epoch, first_chunk, second_chunk):
+    from repro.serve import StreamReplay, load_checkpoint, save_checkpoint
+
+    assume(first_chunk != second_chunk)
+    compiled, batch = _chaos()
+    replay = StreamReplay(compiled)
+    if epoch:
+        for chunk in chunk_plan(epoch, first_chunk):
+            replay.ingest(chunk)
+    assert replay.epochs_done == epoch
+    assert not replay.finished  # even at the horizon, its segment is still open
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = save_checkpoint(Path(directory) / "c.ckpt.json", replay)
+        restored = load_checkpoint(path, expect_fingerprint=replay.fingerprint)
+    assert restored.epochs_done == epoch
+    remaining = restored.epochs_total - epoch
+    if remaining:
+        for chunk in chunk_plan(remaining, second_chunk):
+            restored.ingest(chunk)
+    restored.drain()
+    assert restored.finished
+
+    result = restored.result()
+    assert [s.name for s in result.scenarios] == [s.name for s in batch.scenarios]
+    for streamed, expected in zip(result.scenarios, batch.scenarios):
+        for name in VERIFY_FIELDS:
+            assert getattr(streamed, name) == getattr(expected, name), name
+
