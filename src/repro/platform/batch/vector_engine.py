@@ -29,7 +29,9 @@ and per-machine reductions use ``np.bincount`` (a sequential left-to-right
 fold per bin, like the scalar sums), so vector and scalar runs agree to
 float rounding noise — the property tests assert agreement at rtol=1e-9.
 The backend is *not* bit-exact (summation orders differ at a few points by
-design); the committed ``results/*.txt`` stay on the scalar engine.
+design), yet the non-SMT price figures run on it: their rendered
+``results/*.txt`` are byte-identical to the scalar engine's, which a
+differential test keeps checking.
 
 Limitations (gated with explicit errors): SMT sharing domains and
 event-log recording are not supported; randomness must live outside the
@@ -284,7 +286,6 @@ class VectorEngine:
         self._stats = VectorEngineStats()
         self._specs = _SpecTable()
         self._finish_listeners: List[VectorFinishListener] = []
-        self._cpu_facade = _VectorCPUFacade(self)
 
         total_threads = machines * self._threads_per_machine
         self._queues: List[List[int]] = [[] for _ in range(total_threads)]
@@ -366,8 +367,13 @@ class VectorEngine:
 
     @property
     def cpu(self) -> _VectorCPUFacade:
-        """CPU facade for scalar drivers (single-machine adapters only)."""
-        return self._cpu_facade
+        """CPU facade for scalar drivers (single-machine adapters only).
+
+        Built per access rather than stored: a stored facade would point
+        back at the engine and keep every finished run alive until a
+        generation-2 collection.
+        """
+        return _VectorCPUFacade(self)
 
     @property
     def invocation_count(self) -> int:

@@ -1,17 +1,32 @@
 """Harness-level vector-backend adapters: figure regression vs scalar.
 
-The committed ``results/*.txt`` figures stay on the bit-exact scalar
-engine; these tests pin the vector backend to the same numbers — the
-fig02/fig14 headline metrics must match the scalar run within rtol=1e-9
-(in practice they are bit-identical).
+Non-SMT price figures run on the vector engine; the scalar engine stays
+the oracle.  These tests pin the vector backend to it — the fig02/fig14
+headline metrics must match the scalar run within rtol=1e-9 (in practice
+they are bit-identical), and every non-SMT price figure must render
+byte-identically on both backends.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro.core.sharing import measure_switching_curve
-from repro.experiments.config import one_per_core, sharing_160, smt_160, PricingMethod
+from repro.experiments.config import (
+    PricingMethod,
+    heavy_320,
+    icelake_70,
+    one_per_core,
+    sharing_160,
+    sharing_240_reused,
+    smt_160,
+    unfixed_frequency_160,
+)
 from repro.experiments.harness import (
     build_environment,
+    price_evaluation_cached,
+    price_figure_result,
     run_characterization,
     run_price_evaluation,
 )
@@ -104,3 +119,79 @@ class TestFigureRegression:
             assert v_row.actual_shared_slowdown == pytest.approx(
                 s_row.actual_shared_slowdown, rel=RTOL
             )
+
+
+class TestPriceEvaluationCached:
+    def test_smt_config_routes_to_scalar(self):
+        """The vector engine rejects SMT, so the default must pick scalar."""
+        config = smt_160(
+            name="smt-route-quick",
+            total_functions=16,
+            eval_physical_cores=2,
+            functions_per_thread=4,
+            calibration_levels=(4, 12),
+        ).quick(registry_scale=0.1)
+        result = price_evaluation_cached(config)
+        assert result is price_evaluation_cached(config, backend="scalar")
+
+    def test_cache_key_covers_the_whole_config(self):
+        """Same name, different calibration levels: two separate results."""
+        base = dict(
+            name="k",
+            total_functions=8,
+            eval_physical_cores=8,
+            repetitions=1,
+            registry_scale=0.1,
+        )
+        first = price_evaluation_cached(one_per_core(calibration_levels=(4, 10), **base))
+        second_config = one_per_core(calibration_levels=(4, 14), **base)
+        second = price_evaluation_cached(second_config)
+        assert second is not first
+        assert second == run_price_evaluation(second_config, backend="vector")
+
+
+def test_finished_vector_environment_is_freed_without_gc(registry):
+    """No reference cycle keeps a finished vector run alive until a gen-2 GC."""
+    config = one_per_core(
+        name="vec-free", total_functions=4, eval_physical_cores=4, repetitions=1
+    )
+    specs = [spec.scaled(0.05) for spec in registry.test_functions()[:4]]
+    gc.disable()
+    try:
+        engine, group = build_environment(config, specs, backend="vector")
+        assert engine.run_until(lambda eng: group.done, max_seconds=config.max_seconds)
+        ref = weakref.ref(engine)
+        del engine, group
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+#: Every non-SMT price configuration behind a committed figure.
+_NON_SMT_PRICE_CONFIGS = {
+    "one_per_core": one_per_core,
+    "sharing_160_method1": lambda: sharing_160(PricingMethod.METHOD1),
+    "sharing_160_method2": lambda: sharing_160(PricingMethod.METHOD2),
+    "heavy_320": heavy_320,
+    "unfixed_frequency_160": unfixed_frequency_160,
+    "icelake_70": icelake_70,
+    "sharing_240_reused": sharing_240_reused,
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("factory", _NON_SMT_PRICE_CONFIGS.values(), ids=_NON_SMT_PRICE_CONFIGS)
+def test_price_figure_renders_identically_on_scalar_and_vector(factory):
+    """The scalar oracle and the vector engine the figures use render alike.
+
+    Raw doubles may differ in the last ulp, so the comparison is on the
+    rendered figure text, which is what ``results/*.txt`` holds.
+    """
+    config = factory()
+    renders = {
+        backend: price_figure_result(
+            config.name, "differential", price_evaluation_cached(config, backend=backend)
+        ).render()
+        for backend in ("scalar", "vector")
+    }
+    assert renders["vector"] == renders["scalar"]
