@@ -17,6 +17,14 @@ paper's Section 7.1 tables use dedicated cores (one function per hardware
 thread); the Method 2 tables of Section 7.2 are rebuilt in a temporally
 shared environment (50 functions over 5 cores, i.e. 10 per core); the SMT
 study rebuilds them again with SMT enabled.
+
+Each stress point is one stage driver (:class:`_StressPoint`) that both
+engines run.  The scalar oracle gives every point its own
+:class:`SimulationEngine`; the vector backend runs all points of a
+non-SMT calibration at once, each on its own machine of one
+:class:`~repro.platform.batch.VectorEngine`, whose machines never
+interact.  :func:`calibrate_cached` — the figure path — picks the vector
+backend unless the scenario enables SMT.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from repro.workloads.runtimes import Language
 from repro.workloads.synthetic import WorkloadMixer
 from repro.workloads.traffic import GeneratorKind, TrafficGenerator, generator
 
-#: Safety bound (simulated seconds) for one calibration run.
+#: Safety bound (simulated seconds) for a stress point's probe and
+#: reference stages together.
 _MAX_RUN_SECONDS = 300.0
 
 
@@ -138,7 +147,15 @@ class CalibrationResult:
 
 
 class Calibrator:
-    """Builds congestion/performance tables for one machine and scenario."""
+    """Builds congestion/performance tables for one machine and scenario.
+
+    ``backend`` picks the engine the stress points run on.  ``"scalar"``
+    (the default, and the oracle) runs one :class:`SimulationEngine` per
+    point, one after another; ``"vector"`` runs every point at once as one
+    machine of a single :class:`~repro.platform.batch.VectorEngine` and
+    rejects SMT scenarios.  Solo baselines always come from the scalar
+    oracle.
+    """
 
     def __init__(
         self,
@@ -154,14 +171,22 @@ class Calibrator:
         contention_parameters: Optional[ContentionParameters] = None,
         oracle: Optional[SoloOracle] = None,
         churn_seed: int = 1337,
+        backend: str = "scalar",
     ) -> None:
         if not stress_levels:
             raise ValueError("at least one stress level is required")
         if reference_repetitions < 1 or probe_repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if backend not in ("scalar", "vector"):
+            raise ValueError(f"unknown backend {backend!r}; expected 'scalar' or 'vector'")
         self._machine = machine
         self._registry = registry or default_registry()
         self._scenario = scenario or CalibrationScenario.dedicated()
+        if backend == "vector" and self._scenario.smt_enabled:
+            raise ValueError(
+                "the vector backend does not support SMT sharing domains; "
+                "use backend='scalar'"
+            )
         self._stress_levels = tuple(sorted(set(int(level) for level in stress_levels)))
         self._generators = tuple(generators)
         self._reference_repetitions = reference_repetitions
@@ -174,6 +199,7 @@ class Calibrator:
             engine_config=self._engine_config,
         )
         self._churn_seed = churn_seed
+        self._backend = backend
         self._validate_topology()
 
     # ------------------------------------------------------------------ #
@@ -202,13 +228,13 @@ class Calibrator:
             Tuple[GeneratorKind, int], Dict[str, Tuple[float, float, float]]
         ] = {}
 
-        for kind in self._generators:
-            for level in self._stress_levels:
-                run = self._run_stress_point(kind, level, probe, reference_baselines)
-                for observation in run.congestion_observations:
-                    congestion.add(observation)
-                performance.add(run.performance_observation)
-                reference_slowdowns[(kind, level)] = run.per_reference_slowdowns
+        points = [(kind, level) for kind in self._generators for level in self._stress_levels]
+        for point in self._run_stress_points(points):
+            run = self._summarize_run(point, probe, reference_baselines)
+            for observation in run.congestion_observations:
+                congestion.add(observation)
+            performance.add(run.performance_observation)
+            reference_slowdowns[(point.kind, point.level)] = run.per_reference_slowdowns
 
         return CalibrationResult(
             machine=self._machine,
@@ -240,15 +266,14 @@ class Calibrator:
                 f"only has {cores} cores"
             )
 
-    def _function_thread_ids(self, cpu: CPU) -> List[int]:
+    def _function_thread_ids(self) -> List[int]:
         if not self._scenario.smt_enabled:
             return list(range(self._scenario.function_thread_count))
         physical = self._scenario.function_thread_count // 2
         core_count = self._machine.cores
-        ids = list(range(physical)) + [core_count + i for i in range(physical)]
-        return ids
+        return list(range(physical)) + [core_count + i for i in range(physical)]
 
-    def _generator_thread_ids(self, cpu: CPU, level: int) -> List[int]:
+    def _generator_thread_ids(self, level: int) -> List[int]:
         if not self._scenario.smt_enabled:
             start = self._scenario.function_thread_count
         else:
@@ -266,13 +291,15 @@ class Calibrator:
             baselines[language] = StartupBaseline.from_measurement(profile.startup)
         return baselines
 
-    def _run_stress_point(
-        self,
-        kind: GeneratorKind,
-        level: int,
-        probe: LitmusProbe,
-        reference_baselines: Mapping[str, SoloProfile],
-    ) -> "_StressPointResult":
+    def _run_stress_points(
+        self, points: Sequence[Tuple[GeneratorKind, int]]
+    ) -> List["_StressPoint"]:
+        """Run every stress point through both stages on the chosen backend."""
+        if self._backend == "scalar":
+            return [self._run_scalar(kind, level) for kind, level in points]
+        return self._run_vector(points)
+
+    def _run_scalar(self, kind: GeneratorKind, level: int) -> "_StressPoint":
         cpu = CPU(
             self._machine,
             smt_enabled=self._scenario.smt_enabled,
@@ -284,82 +311,53 @@ class Calibrator:
             LeastOccupancyScheduler(max_per_thread=self._scenario.functions_per_thread),
             config=self._engine_config,
         )
-        function_threads = self._function_thread_ids(cpu)
-        generator_threads = self._generator_thread_ids(cpu, level)
+        point = _StressPoint(self, kind, level, engine)
+        if not engine.run_until(point.advance, max_seconds=_MAX_RUN_SECONDS):
+            raise point.timeout_error()
+        return point
 
-        traffic: TrafficGenerator = generator(kind, level)
-        for spec, thread_id in zip(traffic.thread_specs(), generator_threads):
-            engine.submit(spec, thread_id=thread_id, tags={"role": "generator"})
+    def _run_vector(
+        self, points: Sequence[Tuple[GeneratorKind, int]]
+    ) -> List["_StressPoint"]:
+        # Imported here: the batch package (fleet sweeps, sharding) is not
+        # needed by scalar calibrations or by importing this module.
+        from repro.platform.batch import VectorEngine, VectorEngineConfig
 
-        background = self._scenario.resolved_background_functions
-        if background > 0:
-            mixer = WorkloadMixer(self._registry.all(), seed=self._churn_seed + level)
-            churn = ChurnManager(mixer, background, thread_ids=function_threads)
-            churn.attach(engine)
+        engine = VectorEngine(
+            self._machine,
+            machines=len(points),
+            config=VectorEngineConfig(
+                epoch_seconds=self._engine_config.epoch_seconds,
+                fixed_point_iterations=self._engine_config.fixed_point_iterations,
+            ),
+            contention_parameters=self._contention_parameters,
+            frequency_policy=FrequencyPolicy.FIXED,
+        )
+        views = [engine.machine_view(lane) for lane in range(len(points))]
+        lanes = [
+            _StressPoint(self, kind, level, view)
+            for (kind, level), view in zip(points, views)
+        ]
 
-        # Stage 1: startup probes.  They are measured against the traffic
-        # generator (plus, in shared scenarios, the resident co-runners) so
-        # the congestion table reflects the stress level itself rather than
-        # interference between calibration workloads.
-        probe_items: List[FunctionSpec] = []
-        for language in Language:
-            probe_items.extend([probe_spec(language)] * self._probe_repetitions)
-        probe_driver = WorkQueueDriver(
-            probe_items,
-            allowed_threads=function_threads[:1],
-            max_per_thread=self._scenario.functions_per_thread,
-        )
-        probe_driver.attach(engine)
-        finished = engine.run_until(
-            lambda eng: probe_driver.done, max_seconds=_MAX_RUN_SECONDS
-        )
-        if not finished:
-            raise RuntimeError(
-                f"calibration probes (generator={kind.value}, level={level}) did "
-                f"not finish within {_MAX_RUN_SECONDS} simulated seconds"
-            )
+        def all_done(_engine: object) -> bool:
+            # Every lane advances every epoch: a short-circuiting all()
+            # would delay later lanes' switch to the reference stage and
+            # so change their tables.
+            return all([lane.advance(view) for lane, view in zip(lanes, views)])
 
-        # Stage 2: reference functions.  In the dedicated scenario they run
-        # one at a time so each only competes with the generator; in shared
-        # scenarios they spread across the function threads on top of the
-        # resident co-runners, matching how the Method 2 tables are built.
-        reference_items: List[FunctionSpec] = []
-        for spec in self._registry.reference_functions():
-            reference_items.extend([spec] * self._reference_repetitions)
-        reference_threads = (
-            function_threads[:1]
-            if self._scenario.functions_per_thread == 1
-            else function_threads
-        )
-        reference_driver = WorkQueueDriver(
-            reference_items,
-            allowed_threads=reference_threads,
-            max_per_thread=self._scenario.functions_per_thread,
-        )
-        reference_driver.attach(engine)
-        finished = engine.run_until(
-            lambda eng: reference_driver.done, max_seconds=_MAX_RUN_SECONDS
-        )
-        if not finished:
-            raise RuntimeError(
-                f"calibration references (generator={kind.value}, level={level}) "
-                f"did not finish within {_MAX_RUN_SECONDS} simulated seconds"
-            )
-        return self._summarize_run(
-            kind, level, probe_driver, reference_driver, probe, reference_baselines
-        )
+        if not engine.run_until(all_done, max_seconds=_MAX_RUN_SECONDS):
+            raise next(lane for lane in lanes if not lane.done).timeout_error()
+        return lanes
 
     def _summarize_run(
         self,
-        kind: GeneratorKind,
-        level: int,
-        probe_driver: WorkQueueDriver,
-        reference_driver: WorkQueueDriver,
+        point: "_StressPoint",
         probe: LitmusProbe,
         reference_baselines: Mapping[str, SoloProfile],
     ) -> "_StressPointResult":
-        probes_by_spec = probe_driver.completed_by_spec()
-        by_spec = reference_driver.completed_by_spec()
+        kind, level = point.kind, point.level
+        probes_by_spec = point.probes.completed_by_spec()
+        by_spec = point.references.completed_by_spec()
 
         congestion_observations: List[CongestionObservation] = []
         for language in Language:
@@ -424,6 +422,86 @@ class Calibrator:
         )
 
 
+class _StressPoint:
+    """One (generator, level) stress point, driven through its two stages.
+
+    ``engine`` is a :class:`SimulationEngine` or one machine's view of a
+    :class:`~repro.platform.batch.VectorEngine`; both backends use this one
+    stage driver.  Construction launches the generator threads, the
+    background co-runners and the startup-probe stage; :meth:`advance`
+    starts the reference stage once the probes are done.
+    """
+
+    def __init__(
+        self, calibrator: Calibrator, kind: GeneratorKind, level: int, engine
+    ) -> None:
+        self.kind = kind
+        self.level = level
+        scenario = calibrator.scenario
+        registry = calibrator._registry
+        function_threads = calibrator._function_thread_ids()
+        traffic: TrafficGenerator = generator(kind, level)
+        generator_threads = calibrator._generator_thread_ids(level)
+        for spec, thread_id in zip(traffic.thread_specs(), generator_threads):
+            engine.submit(spec, thread_id=thread_id, tags={"role": "generator"})
+
+        background = scenario.resolved_background_functions
+        if background > 0:
+            mixer = WorkloadMixer(registry.all(), seed=calibrator._churn_seed + level)
+            ChurnManager(mixer, background, thread_ids=function_threads).attach(engine)
+
+        # Stage 1: startup probes.  They are measured against the traffic
+        # generator (plus, in shared scenarios, the resident co-runners) so
+        # the congestion table reflects the stress level itself rather than
+        # interference between calibration workloads.
+        probe_items: List[FunctionSpec] = []
+        for language in Language:
+            probe_items.extend([probe_spec(language)] * calibrator._probe_repetitions)
+        self.probes = WorkQueueDriver(
+            probe_items,
+            allowed_threads=function_threads[:1],
+            max_per_thread=scenario.functions_per_thread,
+        )
+        self.probes.attach(engine)
+
+        # Stage 2 (attached by ``advance``): reference functions.  In the
+        # dedicated scenario they run one at a time so each only competes
+        # with the generator; in shared scenarios they spread across the
+        # function threads on top of the resident co-runners, matching how
+        # the Method 2 tables are built.
+        reference_items: List[FunctionSpec] = []
+        for spec in registry.reference_functions():
+            reference_items.extend([spec] * calibrator._reference_repetitions)
+        self.references = WorkQueueDriver(
+            reference_items,
+            allowed_threads=(
+                function_threads[:1] if scenario.functions_per_thread == 1 else function_threads
+            ),
+            max_per_thread=scenario.functions_per_thread,
+        )
+        self._references_attached = False
+
+    @property
+    def done(self) -> bool:
+        return self._references_attached and self.references.done
+
+    def advance(self, engine) -> bool:
+        """Start the references once the probes are done; ``True`` when all are."""
+        if not self._references_attached:
+            if not self.probes.done:
+                return False
+            self.references.attach(engine)
+            self._references_attached = True
+        return self.references.done
+
+    def timeout_error(self) -> RuntimeError:
+        stage = "references" if self._references_attached else "probes"
+        return RuntimeError(
+            f"calibration {stage} (generator={self.kind.value}, level={self.level}) "
+            f"did not finish within {_MAX_RUN_SECONDS} simulated seconds"
+        )
+
+
 @dataclass(frozen=True)
 class _StressPointResult:
     congestion_observations: List[CongestionObservation]
@@ -437,32 +515,6 @@ class _StressPointResult:
 _CALIBRATION_CACHE: Dict[str, CalibrationResult] = {}
 
 
-def _cache_key(
-    machine: MachineSpec,
-    scenario: CalibrationScenario,
-    stress_levels: Sequence[int],
-    registry_signature: str,
-    reference_repetitions: int,
-    probe_repetitions: int,
-    engine_config: EngineConfig,
-    contention_signature: str,
-) -> str:
-    levels = ",".join(str(level) for level in sorted(set(stress_levels)))
-    return (
-        f"{machine.name}|{scenario.name}|{levels}|{registry_signature}"
-        f"|ref{reference_repetitions}|probe{probe_repetitions}"
-        f"|dt{engine_config.epoch_seconds!r}|it{engine_config.fixed_point_iterations}"
-        f"|cp{contention_signature}"
-    )
-
-
-def _registry_signature(registry: FunctionRegistry) -> str:
-    parts = []
-    for spec in sorted(registry.all(), key=lambda s: s.abbreviation):
-        parts.append(f"{spec.abbreviation}:{spec.total_instructions:.0f}")
-    return ";".join(parts)
-
-
 def calibrate_cached(
     machine: MachineSpec,
     scenario: CalibrationScenario,
@@ -473,6 +525,7 @@ def calibrate_cached(
     probe_repetitions: int = 1,
     engine_config: Optional[EngineConfig] = None,
     oracle: Optional[SoloOracle] = None,
+    backend: Optional[str] = None,
 ) -> CalibrationResult:
     """Calibrate once per (machine, scenario, levels, registry) — ever.
 
@@ -482,34 +535,30 @@ def calibrate_cached(
     sharing-scenario tables, exactly as a provider would) and the versioned
     on-disk cache of :mod:`repro.diskcache` (so parallel figure workers and
     repeated sweeps — CI runs, staleness checks — calibrate each
-    configuration once per machine rather than once per process).  The
-    on-disk key covers the full CPU topology, the registry contents
-    (phases included) and the engine configuration; entries from older
-    cache versions are ignored and recomputed.
+    configuration once per machine rather than once per process).  Both
+    layers share one key, which covers the full CPU topology, the whole
+    scenario, the registry contents (phases included), the engine
+    configuration and the backend; entries from older cache versions are
+    ignored and recomputed.
+
+    ``backend=None`` runs every non-SMT calibration on the ``"vector"``
+    engine, all stress points at once (the scalar-oracle differential test
+    ``tests/test_ex_calibration_backends.py`` pins its tables and figure
+    renders to scalar), and SMT calibrations on ``"scalar"``, which the
+    vector engine does not model.
     """
     # Imported here: persistence imports this module at top level.
     from repro import diskcache
     from repro.core.persistence import calibration_from_dict, calibration_to_dict
 
+    if backend is None:
+        backend = "scalar" if scenario.smt_enabled else "vector"
     registry = registry or default_registry()
     resolved_engine_config = engine_config or EngineConfig()
     # A custom oracle carries its own contention parameters into the solo
-    # baselines, so they are part of both cache identities.
+    # baselines, so they are part of the cache identity.
     contention_parameters = None if oracle is None else oracle.contention_parameters
-    key = _cache_key(
-        machine,
-        scenario,
-        stress_levels,
-        _registry_signature(registry),
-        reference_repetitions,
-        probe_repetitions,
-        resolved_engine_config,
-        diskcache.fingerprint(contention_parameters),
-    )
-    if key in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[key]
-
-    disk_key = diskcache.fingerprint(
+    key_parts = [
         machine,
         scenario,
         tuple(sorted(set(int(level) for level in stress_levels))),
@@ -519,8 +568,14 @@ def calibrate_cached(
         resolved_engine_config.epoch_seconds,
         resolved_engine_config.fixed_point_iterations,
         contention_parameters,
-    )
-    payload = diskcache.load("calibration", disk_key)
+    ]
+    if backend != "scalar":
+        key_parts.append(f"backend={backend}")
+    key = diskcache.fingerprint(*key_parts)
+    if key in _CALIBRATION_CACHE:
+        return _CALIBRATION_CACHE[key]
+
+    payload = diskcache.load("calibration", key)
     if payload is not None:
         try:
             result = calibration_from_dict(payload)
@@ -539,15 +594,16 @@ def calibrate_cached(
         probe_repetitions=probe_repetitions,
         engine_config=engine_config,
         # The oracle's parameters must also drive the stress-point CPUs:
-        # they are part of both cache identities above, and without this
-        # a recalibrated profile's tables would mix the new solo
-        # baselines with default-coefficient congestion measurements.
+        # they are part of the cache identity above, and without this a
+        # recalibrated profile's tables would mix the new solo baselines
+        # with default-coefficient congestion measurements.
         contention_parameters=contention_parameters,
         oracle=oracle,
+        backend=backend,
     )
     result = calibrator.calibrate()
     _CALIBRATION_CACHE[key] = result
-    diskcache.store("calibration", disk_key, calibration_to_dict(result))
+    diskcache.store("calibration", key, calibration_to_dict(result))
     return result
 
 

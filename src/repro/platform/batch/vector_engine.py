@@ -21,8 +21,14 @@ Semantics mirror the scalar engine's slow path operation for operation:
   and per-machine counters,
 * startup (Litmus probe) windows and completions are detected at the same
   epoch boundaries, and completions fire finish listeners so the scalar
-  drivers (``RepeatingSubmitter``, ``ChurnManager``) can be reused
-  unchanged.
+  drivers (``RepeatingSubmitter``, ``WorkQueueDriver``, ``ChurnManager``)
+  can be reused unchanged — on one machine through
+  :meth:`VectorEngine.machine_view`, which confines a driver's
+  submissions and completions to that machine.
+
+A finished invocation's handle goes to the finish listeners and is then
+released; the engine keeps it (in :attr:`VectorEngine.completed`) only
+when nothing listens on its machine.
 
 Per-invocation arithmetic keeps the scalar implementation's operand order,
 and per-machine reductions use ``np.bincount`` (a sequential left-to-right
@@ -31,7 +37,9 @@ float rounding noise — the property tests assert agreement at rtol=1e-9.
 The backend is *not* bit-exact (summation orders differ at a few points by
 design), yet the non-SMT price figures run on it: their rendered
 ``results/*.txt`` are byte-identical to the scalar engine's, which a
-differential test keeps checking.
+differential test keeps checking.  So does every non-SMT calibration: each
+(generator, level) stress point runs as one machine of a single engine
+(see :mod:`repro.core.calibration`).
 
 Limitations (gated with explicit errors): SMT sharing domains and
 event-log recording are not supported; randomness must live outside the
@@ -67,7 +75,8 @@ _COUNTER_FIELDS = (
 
 #: Listener called when an invocation completes.  Receives the materialized
 #: :class:`Invocation` handle (or the bare invocation index when the engine
-#: was built with ``materialize_handles=False``) and the engine.
+#: was built with ``materialize_handles=False``) and the engine — or, for a
+#: listener added through a machine view, that view.
 VectorFinishListener = Callable[[object, "VectorEngine"], None]
 
 
@@ -214,27 +223,58 @@ class _VectorThreadView:
         return self.occupancy > 0
 
 
-class _VectorCPUFacade:
-    """Minimal ``CPU`` facade so scalar drivers can query thread occupancy.
+class _MachineView:
+    """One machine of a :class:`VectorEngine`, seen as a one-machine engine.
 
-    Thread ids are machine-local ids of machine 0 — the facade exists for
-    the single-machine harness adapters that reuse ``RepeatingSubmitter``
-    and ``ChurnManager`` against a :class:`VectorEngine`.
+    The scalar drivers (``RepeatingSubmitter``, ``WorkQueueDriver``,
+    ``ChurnManager``) use four things of an engine: :meth:`submit`,
+    ``cpu.thread(t).occupancy``, :attr:`time_seconds` and
+    :meth:`add_finish_listener`.  A view offers exactly those for one
+    machine, with machine-local thread ids, and is its own ``cpu``.  Its
+    finish listeners receive the view and only this machine's completions,
+    so a driver attached through it — and everything it resubmits from its
+    listener — stays on this machine.
     """
 
-    __slots__ = ("_engine",)
+    __slots__ = ("_engine", "_index")
 
-    def __init__(self, engine: "VectorEngine") -> None:
+    def __init__(self, engine: "VectorEngine", index: int) -> None:
+        if not 0 <= index < engine.machines:
+            raise ValueError(f"machine {index} out of range")
         self._engine = engine
+        self._index = index
 
     @property
     def machine(self) -> MachineSpec:
         return self._engine.machine
 
+    @property
+    def cpu(self) -> "_MachineView":
+        return self
+
+    @property
+    def time_seconds(self) -> float:
+        return self._engine.time_seconds
+
     def thread(self, thread_id: int) -> _VectorThreadView:
-        if not 0 <= thread_id < self._engine.threads_per_machine:
+        threads = self._engine.threads_per_machine
+        if not 0 <= thread_id < threads:
             raise KeyError(f"no hardware thread with id {thread_id}")
-        return _VectorThreadView(self._engine, thread_id)
+        return _VectorThreadView(self._engine, self._index * threads + thread_id)
+
+    def submit(
+        self,
+        spec: FunctionSpec,
+        *,
+        thread_id: Optional[int] = None,
+        tags: Optional[Dict[str, str]] = None,
+    ):
+        return self._engine.submit(
+            spec, machine=self._index, thread_id=thread_id, tags=tags
+        )
+
+    def add_finish_listener(self, listener: VectorFinishListener) -> None:
+        self._engine._machine_listeners.setdefault(self._index, []).append(listener)
 
 
 class VectorEngine:
@@ -252,7 +292,8 @@ class VectorEngine:
     Drive it like the scalar engine: :meth:`submit` invocations, attach
     :meth:`add_finish_listener` callbacks, advance with :meth:`run_for` /
     :meth:`run_until`, read results via :meth:`machine_counters`,
-    :attr:`completed`, and :attr:`stats`.
+    :attr:`completed`, and :attr:`stats`.  :meth:`machine_view` hands the
+    scalar drivers one machine as if it were a whole engine.
     """
 
     def __init__(
@@ -286,6 +327,8 @@ class VectorEngine:
         self._stats = VectorEngineStats()
         self._specs = _SpecTable()
         self._finish_listeners: List[VectorFinishListener] = []
+        #: Listeners added through a machine view, by machine index.
+        self._machine_listeners: Dict[int, List[VectorFinishListener]] = {}
 
         total_threads = machines * self._threads_per_machine
         self._queues: List[List[int]] = [[] for _ in range(total_threads)]
@@ -366,14 +409,22 @@ class VectorEngine:
         return self._stats
 
     @property
-    def cpu(self) -> _VectorCPUFacade:
-        """CPU facade for scalar drivers (single-machine adapters only).
+    def cpu(self) -> _MachineView:
+        """Machine 0's view, for drivers attached to the engine itself.
 
-        Built per access rather than stored: a stored facade would point
-        back at the engine and keep every finished run alive until a
+        Views are built per access rather than stored: a stored view would
+        point back at the engine and keep every finished run alive until a
         generation-2 collection.
         """
-        return _VectorCPUFacade(self)
+        return _MachineView(self, 0)
+
+    def machine_view(self, machine: int) -> _MachineView:
+        """One machine as a one-machine engine, for the scalar drivers.
+
+        A driver attached through the view submits, reads occupancy and
+        hears completions on that machine only; see :class:`_MachineView`.
+        """
+        return _MachineView(self, machine)
 
     @property
     def invocation_count(self) -> int:
@@ -392,10 +443,14 @@ class VectorEngine:
 
     @property
     def completed(self) -> List[object]:
-        """Finished ``Invocation`` handles (materialized mode only).
+        """Finished ``Invocation`` handles that no finish listener received.
 
-        Non-materialized engines recycle finished columns and count
-        completions in ``stats.completions`` instead of retaining them.
+        A completion on a machine with finish listeners (engine-wide or
+        attached through its view) is handed to them and then released:
+        the drivers keep the handles they need, so a long churn run does
+        not hold every finished handle.  Non-materialized engines recycle
+        finished columns and count completions in ``stats.completions``
+        instead of retaining them.
         """
         return list(self._completed)
 
@@ -490,8 +545,10 @@ class VectorEngine:
     def add_finish_listener(self, listener: VectorFinishListener) -> None:
         """Register a completion callback (handle-or-index, engine).
 
-        Listeners may :meth:`submit` replacements from inside the callback
-        — the churn pattern fleet sweeps rely on.
+        The listener hears every machine's completions.  Listeners may
+        :meth:`submit` replacements from inside the callback — the churn
+        pattern fleet sweeps rely on.  To confine a driver to one machine,
+        attach it through :meth:`machine_view` instead.
         """
         self._finish_listeners.append(listener)
 
@@ -505,6 +562,7 @@ class VectorEngine:
         # re-attaching its listeners after restore (see ``repro.serve``).
         state = self.__dict__.copy()
         state["_finish_listeners"] = []
+        state["_machine_listeners"] = {}
         return state
 
     # ------------------------------------------------------------------ #
@@ -1115,14 +1173,23 @@ class VectorEngine:
             self._queues[int(self.gthread[index])].remove(index)
             self._order_dirty = True
             self._stats.completions += 1
+            machine = int(self.machine_of[index])
+            machine_listeners = self._machine_listeners.get(machine)
             handle: object = index
             if materialize:
                 handle = self._handles[index]
                 self._sync_handle_counters(index)
                 handle.mark_finished(self._time)
-                self._completed.append(handle)
+                # Release the handle: listeners that need it keep it.
+                self._handles[index] = None
+                if not self._finish_listeners and not machine_listeners:
+                    self._completed.append(handle)
             for listener in list(self._finish_listeners):
                 listener(handle, self)
+            if machine_listeners:
+                view = _MachineView(self, machine)
+                for listener in list(machine_listeners):
+                    listener(handle, view)
             if not materialize:
                 # Listener work (e.g. churn resubmission) is done with this
                 # index; recycle its column so churn fleets stay bounded by
