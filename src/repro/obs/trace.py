@@ -28,6 +28,7 @@ the run itself (and recorded into BENCH_engine.json run extras).
 from __future__ import annotations
 
 import os
+import random
 import threading
 import time
 from contextlib import contextmanager
@@ -37,9 +38,20 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
 __all__ = ["SpanContext", "TraceSpan", "Tracer"]
 
 
+#: Span IDs come from a private generator, seeded from ``os.urandom`` at
+#: import and again in every forked child.  Not ``os.urandom`` per span: it
+#: releases the GIL, which hands it to whichever thread is busy (the
+#: simulation) and stalls the tracing thread for up to a switch interval,
+#: wall-clock the tracer would bill as its own overhead.  Private, so span
+#: IDs never draw from (or depend on) the global ``random`` state.
+_ID_SOURCE = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_ID_SOURCE.seed)
+
+
 def _new_id() -> str:
     """A fresh 64-bit hex ID (random; uniqueness, not reproducibility)."""
-    return os.urandom(8).hex()
+    return f"{_ID_SOURCE.getrandbits(64):016x}"
 
 
 @dataclass(frozen=True)

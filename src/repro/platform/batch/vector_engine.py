@@ -48,7 +48,6 @@ engine, exactly as with the scalar engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -101,6 +100,9 @@ class VectorEngineStats:
     epochs: int = 0
     fixed_point_iterations: int = 0
     advance_passes: int = 0
+    #: Water-fill passes that computed shares (at least one per fixed-point
+    #: iteration with an active lane; one more per round of capped lanes).
+    water_fill_passes: int = 0
     submissions: int = 0
     completions: int = 0
 
@@ -493,16 +495,15 @@ class VectorEngine:
         """
         if scale <= 0:
             raise ValueError("frequency scale must be positive")
-        if isinstance(machines, int):
-            machines = (machines,)
+        machines = (machines,) if isinstance(machines, int) else tuple(machines)
+        for machine in machines:
+            if not 0 <= machine < self._machines:
+                raise ValueError(f"machine index {machine} out of range")
         if self._freq_scale is None:
             if scale == 1.0:
                 return
             self._freq_scale = np.ones(self._machines)
-        for machine in machines:
-            if not 0 <= machine < self._machines:
-                raise ValueError(f"machine index {machine} out of range")
-            self._freq_scale[machine] = scale
+        self._freq_scale[list(machines)] = scale
         if (self._freq_scale == 1.0).all():
             self._freq_scale = None
 
@@ -962,142 +963,65 @@ class VectorEngine:
     ) -> np.ndarray:
         """Effective L3 hit fractions under capacity contention.
 
-        Vectorized replica of ``SharedCacheModel.allocate``: capacity is
-        split per machine proportionally to request rate, capped at each
-        workload's working set (``need`` is the working set pre-clamped to
-        the L3 capacity), surplus re-offered until no workload is capped;
-        hit fractions degrade along the concave utility curve.
-        """
-        n = rate.shape[0]
-        machines = self._machines
-        capacity = self._capacity_mb
-        wf_active = (rate > 0.0) & (need > 0.0)
-        all_active = bool(wf_active.all())
-        if not all_active:
-            hit = solo_hit.copy()
-            if not wf_active.any():
-                return hit
-        # First-pass fast path: with full capacity every machine hosting an
-        # active workload is processing (active implies rate > 0, so its
-        # machine's total rate is positive), and when no workload's
-        # proportional share reaches its need the scalar loop distributes
-        # the shares and stops — one pass, no bookkeeping.
-        if all_active:
-            total_rate = np.bincount(m_of, weights=rate, minlength=machines)
-            share = capacity * rate / total_rate[m_of]
-            capped = share >= need
-        else:
-            total_rate = np.bincount(
-                m_of, weights=np.where(wf_active, rate, 0.0), minlength=machines
-            )
-            share = (
-                capacity * rate / np.where(total_rate[m_of] > 0, total_rate[m_of], 1.0)
-            )
-            capped = wf_active & (share >= need)
-        if capped.any():
-            alloc = self._water_fill_slow(rate, need, m_of, wf_active)
-        elif all_active:
-            alloc = share
-        else:
-            alloc = np.where(wf_active, share, 0.0)
-        if all_active:
-            coverage = np.minimum(np.maximum(alloc / need, 0.0), 1.0)
-            partial_mask = coverage < 1.0
-        else:
-            covered = need > 0.0
-            coverage = np.minimum(
-                np.maximum(alloc / np.where(covered, need, 1.0), 0.0), 1.0
-            )
-            coverage[~covered] = 0.0
-            partial_mask = wf_active & covered & (coverage < 1.0)
-        # The utility curve is the one transcendental in the per-epoch chain.
-        # NumPy's SIMD ``power`` rounds differently from libm ``pow`` (the
-        # scalar engine's ``**``) in ~5 % of cases, and a 1-ulp penalty
-        # difference drifts the accumulated instruction counters onto the
-        # scalar engine's exact startup-boundary comparisons — so the
-        # partial-coverage lanes go through ``math.pow`` instead.  Coverage
-        # values repeat heavily (invocations running the same phase of the
-        # same spec on a machine share rate and need bit for bit), so pow
-        # runs once per distinct value.
-        exponent = self._utility_exponent
-        curve = np.ones(n)
-        partial = np.nonzero(partial_mask)[0]
-        if partial.size:
-            unique, inverse = np.unique(coverage[partial], return_inverse=True)
-            powered = np.fromiter(
-                (math.pow(value, exponent) for value in unique.tolist()),
-                dtype=float,
-                count=unique.size,
-            )
-            curve[partial] = powered[inverse]
-        if all_active:
-            return solo_hit * curve
-        hit = np.where(wf_active & covered, solo_hit * curve, hit)
-        return hit
+        Vectorized replica of ``SharedCacheModel.allocate``, pass for pass,
+        on every machine at once: capacity is split per machine
+        proportionally to request rate, capped at each workload's working
+        set (``need`` is the working set pre-clamped to the L3 capacity),
+        surplus re-offered until no workload is capped; hit fractions
+        degrade along the concave utility curve.
 
-    def _water_fill_slow(
-        self,
-        rate: np.ndarray,
-        need: np.ndarray,
-        m_of: np.ndarray,
-        wf_active: np.ndarray,
-    ) -> np.ndarray:
-        """General multi-pass water-fill (some workload capped its share)."""
-        n = rate.shape[0]
+        Pass invariant: a lane is ``live`` while it is still on offer, and
+        every live lane has ``alloc == 0.0`` — a lane leaves the offer in
+        the same pass that sets its allocation.  So the scalar loop's
+        ``need - alloc`` is ``need`` and its ``alloc + share`` is ``share``,
+        bit for bit.  Per-machine folds keep the scalar sum order: rates
+        fold through ``np.bincount`` and capped grants come off ``rem``
+        through ``np.subtract.at``, both sequential in runnable order.
+
+        The utility curve is the one transcendental in the per-epoch chain.
+        NumPy's SIMD ``power`` rounds differently from libm ``pow`` (the
+        scalar engine's ``**``) in ~6 % of cases, and a 1-ulp penalty
+        difference drifts the accumulated instruction counters onto the
+        scalar engine's exact startup-boundary comparisons.
+        ``np.float_power`` has no SIMD loop: its float64 loop calls libm
+        ``pow`` per element, and ``pow(1.0, e)`` is exactly 1.0, so fully
+        covered lanes need no mask.  ``tests/test_props_water_fill.py``
+        fails loudly on a NumPy build where that stops holding.
+        """
         machines = self._machines
-        alloc = np.zeros(n)
-        remaining = wf_active.copy()
-        rem_capacity = np.full(machines, self._capacity_mb)
-        machine_done = np.zeros(machines, dtype=bool)
-        for _ in range(n + 1):
-            live = remaining & ~machine_done[m_of]
+        active = (rate > 0.0) & (need > 0.0)
+        alloc = np.zeros(rate.shape[0])
+        rem = np.full(machines, self._capacity_mb)
+        live = active
+        while True:
+            live_rate = np.where(live, rate, 0.0)
+            total = np.bincount(m_of, weights=live_rate, minlength=machines)
+            processing = (total > 0.0) & (rem > 1e-12)
+            live = live & processing[m_of]
             if not live.any():
                 break
-            total_rate = np.bincount(
-                m_of, weights=np.where(live, rate, 0.0), minlength=machines
-            )
-            has_live = (
-                np.bincount(m_of, weights=live.astype(float), minlength=machines) > 0
-            )
-            processing = (
-                has_live & ~machine_done & (rem_capacity > 1e-12) & (total_rate > 0.0)
-            )
-            machine_done |= has_live & ~processing
-            live &= processing[m_of]
-            if not live.any():
-                continue
-            # The expression is evaluated for masked-out lanes too, whose
-            # garbage values can overflow before np.where discards them.
-            with np.errstate(over="ignore", invalid="ignore"):
-                share = np.where(
-                    live,
-                    rem_capacity[m_of]
-                    * rate
-                    / np.where(total_rate[m_of] > 0, total_rate[m_of], 1.0),
-                    0.0,
-                )
-            capped = live & (share >= need - alloc)
-            has_capped = (
-                np.bincount(m_of, weights=capped.astype(float), minlength=machines) > 0
-            )
-            # Machines with live workloads but no capped one: distribute the
-            # proportional shares and stop (the scalar loop's final branch).
-            final = processing & ~has_capped
-            final_positions = live & final[m_of]
-            alloc = np.where(final_positions, alloc + share, alloc)
-            rem_capacity = np.where(final, 0.0, rem_capacity)
-            machine_done |= final
-            # Capped workloads take exactly their need; grants come off the
-            # machine's remaining capacity sequentially in runnable order
-            # (the scalar fold), so replicate that with a tiny Python loop.
-            capped_positions = np.nonzero(capped)[0]
-            for position in capped_positions.tolist():
-                machine = m_of[position]
-                grant = need[position] - alloc[position]
-                alloc[position] = need[position]
-                rem_capacity[machine] -= grant
-            remaining &= ~capped
-        return alloc
+            self._stats.water_fill_passes += 1
+            # Machines off the offer divide by 1.0, never 0/0; their lanes'
+            # shares are never read.
+            share = rem[m_of] * live_rate / np.where(processing, total, 1.0)[m_of]
+            capped = live & (share >= need)
+            if not capped.any():
+                alloc[live] = share[live]
+                break
+            # Machines without a capped lane distribute their shares and
+            # stop (the scalar loop's final branch); capped lanes take
+            # their need, granted off ``rem`` in runnable order.
+            has_capped = np.zeros(machines, dtype=bool)
+            has_capped[m_of[capped]] = True
+            final = live & ~has_capped[m_of]
+            alloc[final] = share[final]
+            alloc[capped] = need[capped]
+            np.subtract.at(rem, m_of[capped], need[capped])
+            live = live & has_capped[m_of] & ~capped
+        hit = solo_hit.copy()
+        coverage = np.minimum(np.maximum(alloc[active] / need[active], 0.0), 1.0)
+        hit[active] = solo_hit[active] * np.float_power(coverage, self._utility_exponent)
+        return hit
 
     # ------------------------------------------------------------------ #
     # Event handling
