@@ -392,6 +392,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             baseline_wall_seconds=round(baseline.wall_seconds, 4),
             fault_report=report.to_dict(),
         )
+        counted = faulted
     elif args.compare:
         vector = execute("vector")
         scalar = execute("scalar")
@@ -416,6 +417,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                 round(t.wall_seconds, 4) for t in scalar.shard_timings
             ],
         )
+        counted = vector
     else:
         result = execute(backend)
         print(result.render())
@@ -431,6 +433,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
             shards=result.shards,
             shard_seconds=[round(t.wall_seconds, 4) for t in result.shard_timings],
         )
+        counted = result
+    if counted.result.engine_counts is not None:
+        # Deterministic work counters: the bench gate compares them exactly.
+        extra["engine_counts"] = counted.result.engine_counts
 
     if collector is not None:
         collector.stop()
@@ -704,6 +710,7 @@ def _command_stream(args: argparse.Namespace) -> int:
             "checkpoints_written": summary.checkpoints_written,
             "billed_gb_seconds": round(billed, 6),
             "true_gb_seconds": round(true, 6),
+            "engine_counts": result.engine_counts,
         }
         if verified is not None:
             extra["verified_bit_exact"] = verified

@@ -307,6 +307,7 @@ def run_sharded(
             scenarios=result.scenarios,
             wall_seconds=time.perf_counter() - start,
             horizon_seconds=horizon_seconds,
+            engine_counts=result.engine_counts,
         )
         return ShardedSweepResult(result=merged, shard_timings=(timing,))
 
@@ -349,10 +350,17 @@ def run_sharded(
                 wall_seconds=result.wall_seconds,
             )
         )
+    counts = None
+    if all(r.engine_counts is not None for r in shard_results):
+        counts = {
+            name: sum(r.engine_counts[name] for r in shard_results)
+            for name in shard_results[0].engine_counts
+        }
     merged = FleetSweepResult(
         backend=backend,
         scenarios=tuple(r for r in by_index if r is not None),
         wall_seconds=time.perf_counter() - start,
         horizon_seconds=horizon_seconds,
+        engine_counts=counts,
     )
     return ShardedSweepResult(result=merged, shard_timings=tuple(timings))

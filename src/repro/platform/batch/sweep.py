@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
@@ -178,6 +178,10 @@ class FleetSweepResult:
     scenarios: Tuple[ScenarioResult, ...]
     wall_seconds: float
     horizon_seconds: float
+    #: The vector engine's deterministic work counters
+    #: (:class:`~repro.platform.batch.VectorEngineStats` fields), summed
+    #: over shards; ``None`` on the scalar backend.
+    engine_counts: Optional[Dict[str, int]] = field(default=None, compare=False)
 
     @property
     def fleet_size(self) -> int:
@@ -487,8 +491,13 @@ class FleetSweep:
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
         start = time.perf_counter()
+        counts = None
         if backend == "vector":
-            results = self._run_vector(progress)
+            drive = FleetDrive(self)
+            drive.progress = progress
+            drive.step()
+            results = drive.results()
+            counts = drive.engine_counts()
         else:
             results = self._run_scalar(progress)
         wall = time.perf_counter() - start
@@ -497,6 +506,7 @@ class FleetSweep:
             scenarios=tuple(results),
             wall_seconds=wall,
             horizon_seconds=self._horizon,
+            engine_counts=counts,
         )
 
     def compare(self) -> Tuple[FleetSweepResult, FleetSweepResult, float]:
@@ -610,17 +620,6 @@ class FleetSweep:
             "true_gb_seconds": true,
             "done": done,
         }
-
-    # ------------------------------------------------------------------ #
-    # Vector backend: one engine, every machine of every scenario
-    # ------------------------------------------------------------------ #
-    def _run_vector(
-        self, progress: Optional[ProgressCallback] = None
-    ) -> List[ScenarioResult]:
-        drive = FleetDrive(self)
-        drive.progress = progress
-        drive.step()
-        return drive.results()
 
     # ------------------------------------------------------------------ #
     # Scalar backend: the fast-path engine, machine by machine
@@ -898,6 +897,10 @@ class FleetDrive:
             ledgers=self.ledgers,
             done=done,
         )
+
+    def engine_counts(self) -> Dict[str, int]:
+        """The engine's work counters so far, as a plain dict."""
+        return asdict(self.engine.stats)
 
     def series_point(self) -> SeriesPoint:
         """One epoch's :class:`~repro.obs.series.SeriesPoint` reading."""

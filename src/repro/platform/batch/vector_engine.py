@@ -41,6 +41,38 @@ differential test keeps checking.  So does every non-SMT calibration: each
 (generator, level) stress point runs as one machine of a single engine
 (see :mod:`repro.core.calibration`).
 
+An epoch over a few hundred lanes costs NumPy call dispatch, not
+arithmetic, so the epoch is laid out to make few calls:
+
+* **One packed record per invocation.**  Each invocation owns one row of
+  a float record (the ``_R_*`` columns): its seven counters and two
+  occupancy weights, its contention penalty, its phase progress and its
+  two instruction thresholds (total, and startup while the probe window
+  is open).  An epoch gathers the runnable rows with one ``take``, adds
+  its counter deltas as one block, and scatters the rows back with one
+  assignment; the six machine counters fold with one ``np.bincount``.
+* **Solo-initialised penalties.**  A lane's penalty is its hit term
+  ``h * l3_latency + (1 - h) * memory_latency`` (the numerator of the
+  stall formula) and its inflation.  A new invocation starts from the
+  solo penalty: the hit term of its first phase's solo hit fraction at
+  the unloaded latencies, and inflation 1.0.  That is the scalar solo
+  stall operand for operand, and ``cpi_base * 1.0 * multiplier`` equals
+  ``cpi_base * multiplier`` exactly, so the first epoch needs no branch.
+* **Cached lane layout.**  The runnable order and everything that
+  follows from it (machines, occupancy, switching multiplier, cycle
+  budget, frequency) changes only when an invocation starts or finishes,
+  or a frequency scale changes.  Arrivals merge into the kept order by a
+  stable sort on (thread, submission) keys, with no Python pass over the
+  lanes, and while every thread keeps its lane count — a finished
+  invocation replaced on its thread — only the spec columns are redone.
+* **One profile row per (spec, phase).**  An epoch gathers every
+  profile field with one ``take``; the advance passes mask lanes with
+  ``np.where`` instead of gathering and scattering subsets, and a masked
+  lane adds exact zeros.
+* **A water-fill fast path** for the usual first pass, in which every lane
+  is on offer and every machine offers its whole cache (see
+  :meth:`VectorEngine._water_fill`).
+
 Limitations (gated with explicit errors): SMT sharing domains and
 event-log recording are not supported; randomness must live outside the
 engine, exactly as with the scalar engine.
@@ -48,6 +80,7 @@ engine, exactly as with the scalar engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -62,15 +95,26 @@ from repro.platform.sandbox import Sandbox
 from repro.platform.scheduler import SwitchingOverheadModel
 from repro.workloads.function import FunctionSpec
 
-#: Counter fields shared by the per-invocation and per-machine accumulators.
-_COUNTER_FIELDS = (
-    "cycles",
-    "instructions",
-    "stall_cycles_l2_miss",
-    "l2_misses",
-    "l3_misses",
-    "context_switches",
-)
+#: Columns of the per-invocation record.  The first nine accumulate an
+#: epoch's deltas, and the first six of those are also the machine-wide
+#: counters (in ``CounterSnapshot`` field order).
+(_R_CYCLES, _R_INSTRUCTIONS, _R_STALL, _R_L2, _R_L3, _R_SWITCHES, _R_ELAPSED) = range(7)
+(_R_OCC_WEIGHTED, _R_OCC_WEIGHT, _R_HIT_TERM, _R_INFLATION) = range(7, 11)
+(_R_INTO_PHASE, _R_RETIRED, _R_TOTAL, _R_STARTUP) = range(11, 15)
+_RECORD_WIDTH = 15
+_ACCUMULATED = 9
+_MACHINE_FIELDS = 6
+#: One record row as an opaque item, for row scatters.
+_ROW = np.dtype((np.void, 8 * _RECORD_WIDTH))
+
+#: Columns of the profile table: one row per (spec, phase).
+(_P_CPI, _P_MPKI, _P_MPKI_PER_INST, _P_NEED, _P_SOLO_HIT, _P_MLP) = range(6)
+(_P_INSTRUCTIONS, _P_END) = (6, 7)
+_PROFILE_WIDTH = 8
+
+#: Bits of the runnable-order key below the thread id; the rest count
+#: submissions, so a thread's lanes sort in submission order.
+_SEQUENCE_BITS = 40
 
 #: Listener called when an invocation completes.  Receives the materialized
 #: :class:`Invocation` handle (or the bare invocation index when the engine
@@ -108,7 +152,7 @@ class VectorEngineStats:
 
 
 class _SpecTable:
-    """Padded per-phase profile arrays for every distinct function spec."""
+    """One profile-table row per (spec, phase) for every distinct spec."""
 
     def __init__(self) -> None:
         self._index: Dict[FunctionSpec, int] = {}
@@ -118,16 +162,12 @@ class _SpecTable:
         self.specs: List[FunctionSpec] = []
         # Built lazily into dense arrays on demand.
         self._dirty = True
-        self.phase_instructions: np.ndarray = np.zeros((0, 1))
-        self.cpi_base: np.ndarray = np.zeros((0, 1))
-        self.l2_mpki: np.ndarray = np.zeros((0, 1))
-        self.working_set_mb: np.ndarray = np.zeros((0, 1))
-        self.solo_l3_hit: np.ndarray = np.zeros((0, 1))
-        self.mlp: np.ndarray = np.zeros((0, 1))
+        #: Row ``spec * width + phase`` holds that phase's ``_P_*`` columns.
+        self.table: np.ndarray = np.zeros((0, _PROFILE_WIDTH))
+        self.width = 1
         self.phase_count: np.ndarray = np.zeros(0, dtype=np.int64)
-        self.total_instructions: np.ndarray = np.zeros(0)
-        self.startup_instructions: np.ndarray = np.zeros(0)
-        self.is_traffic_generator: np.ndarray = np.zeros(0, dtype=bool)
+        #: Upper bound on advance passes in one epoch.
+        self.max_passes = 2
 
     def intern(self, spec: FunctionSpec) -> int:
         # Keyed by object identity first: churn drivers resubmit the same
@@ -160,51 +200,64 @@ class _SpecTable:
         state["_by_id"] = {}
         return state
 
-    def rebuild(self) -> None:
+    def rebuild(self, capacity_mb: float) -> None:
         if not self._dirty:
             return
-        count = len(self.specs)
-        width = max(len(spec.phases) for spec in self.specs)
-        # Padding uses 1.0 so padded slots can never divide by zero; they
-        # are always masked out by the ``finished`` check before use.
-        self.phase_instructions = np.full((count, width), 1.0)
-        self.cpi_base = np.ones((count, width))
-        self.l2_mpki = np.zeros((count, width))
-        self.working_set_mb = np.zeros((count, width))
-        self.solo_l3_hit = np.zeros((count, width))
-        self.mlp = np.ones((count, width))
-        self.phase_count = np.zeros(count, dtype=np.int64)
-        self.total_instructions = np.zeros(count)
-        self.startup_instructions = np.zeros(count)
-        self.is_traffic_generator = np.zeros(count, dtype=bool)
+        # One padding row past each spec's last phase: a finished lane
+        # reads it in later advance passes, masked out.  Its divisors are
+        # 1.0, so it never divides by zero.
+        width = max(len(spec.phases) for spec in self.specs) + 1
+        table = np.zeros((len(self.specs), width, _PROFILE_WIDTH))
+        table[:, :, [_P_CPI, _P_MLP, _P_INSTRUCTIONS]] = 1.0
+        table[:, :, _P_END] = 1.0 - 1e-9
         for s, spec in enumerate(self.specs):
-            phases = spec.phases
-            self.phase_count[s] = len(phases)
-            self.total_instructions[s] = spec.total_instructions
-            self.startup_instructions[s] = spec.startup_instructions
-            self.is_traffic_generator[s] = spec.is_traffic_generator
-            for p, phase in enumerate(phases):
+            for p, phase in enumerate(spec.phases):
                 profile = phase.profile
-                self.phase_instructions[s, p] = phase.instructions
-                self.cpi_base[s, p] = profile.cpi_base
-                self.l2_mpki[s, p] = profile.l2_mpki
-                self.working_set_mb[s, p] = profile.working_set_mb
-                self.solo_l3_hit[s, p] = profile.solo_l3_hit_fraction
-                self.mlp[s, p] = profile.mlp
-        # Stacked views so one fancy-index gathers every profile field.
-        self.epoch_stack = np.stack(
-            (
-                self.cpi_base,
-                self.l2_mpki,
-                self.working_set_mb,
-                self.solo_l3_hit,
-                self.mlp,
-            )
-        )
-        self.advance_stack = np.stack(
-            (self.phase_instructions, self.cpi_base, self.l2_mpki, self.mlp)
-        )
+                table[s, p] = (
+                    profile.cpi_base,
+                    profile.l2_mpki,
+                    profile.l2_mpki / 1000.0,
+                    min(profile.working_set_mb, capacity_mb),
+                    profile.solo_l3_hit_fraction,
+                    profile.mlp,
+                    phase.instructions,
+                    phase.instructions - 1e-9,
+                )
+        self.table = table.reshape(-1, _PROFILE_WIDTH)
+        self.width = width
+        self.phase_count = np.array([len(spec.phases) for spec in self.specs], dtype=np.int64)
+        self.max_passes = width + 1
         self._dirty = False
+
+
+class _Lanes:
+    """The runnable lanes and everything that depends on them alone.
+
+    Rebuilt when an invocation starts or finishes or a frequency scale
+    changes, and constant across the epochs in between.  The columns after
+    ``phase_count`` follow from the lanes' threads alone, so they carry
+    over while every thread keeps its lane count (``occupancy``).
+    """
+
+    #: Invocation indices in runnable order.
+    idx: np.ndarray
+    #: Each lane's first profile-table row (``spec * width``).
+    spec_row: np.ndarray
+    phase_count: np.ndarray
+    #: The engine's per-thread lane counts the layout was built for.
+    occupancy: List[int]
+    machine: np.ndarray
+    multiplier: np.ndarray
+    cycles_available: np.ndarray
+    #: Whether every lane enters the epoch with more than one cycle.
+    full_budget: bool
+    frequency: np.ndarray
+    #: An epoch's delta block before the advance: zero but for the
+    #: switch and occupancy-weight columns.
+    delta: np.ndarray
+    #: ``np.bincount`` keys ``machine * _ACCUMULATED + column`` of
+    #: ``delta.ravel()``.
+    bins: np.ndarray
 
 
 class _VectorThreadView:
@@ -218,7 +271,7 @@ class _VectorThreadView:
 
     @property
     def occupancy(self) -> int:
-        return len(self._engine._queues[self._gthread])
+        return self._engine._occupancy[self._gthread]
 
     @property
     def is_busy(self) -> bool:
@@ -288,7 +341,7 @@ class VectorEngine:
     the machine's core count (SMT domains are rejected — scalar-only);
     ``materialize_handles`` chooses between full
     :class:`~repro.platform.invoker.Invocation` handles (scalar-adapter
-    compatible) and bare integer indices (cheaper at fleet scale, columns
+    compatible) and bare integer indices (cheaper at fleet scale, rows
     recycled after completion); ``initial_capacity`` pre-sizes the arrays.
 
     Drive it like the scalar engine: :meth:`submit` invocations, attach
@@ -332,23 +385,34 @@ class VectorEngine:
         #: Listeners added through a machine view, by machine index.
         self._machine_listeners: Dict[int, List[VectorFinishListener]] = {}
 
-        total_threads = machines * self._threads_per_machine
-        self._queues: List[List[int]] = [[] for _ in range(total_threads)]
+        #: Invocations hosted by each hardware thread (global thread id).
+        self._occupancy: List[int] = [0] * (machines * self._threads_per_machine)
+        #: Runnable invocations in (thread, submission) order, without the
+        #: arrivals since the last lane refresh.
         self._order: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._order_dirty = True
+        self._arrivals: List[int] = []
+        self._lanes: Optional[_Lanes] = None
+        self._lanes_dirty = True
 
         # Derived machine constants.
         self._capacity_mb = machine.l3.size_mb
-        self._utility_exponent = self._parameters.cache_utility_exponent
         self._line_size = float(machine.line_size_bytes)
         self._l3_latency = machine.l3.latency_cycles
         self._memory_latency = machine.memory_latency_cycles
-        self._ring_peak = machine.ring_peak_accesses_per_us * 1e6
-        self._memory_peak = machine.memory_bandwidth_gbs * 1e9
-        self._max_util = self._parameters.max_utilization
-        self._ring_q = self._parameters.ring_queueing_coefficient
-        self._memory_q = self._parameters.memory_queueing_coefficient
-        self._pressure = self._parameters.private_pressure_sensitivity
+        # The ring and memory queueing models side by side: row 0 is the
+        # ring (L3 lookups), row 1 the memory bus (DRAM bytes).
+        self._peaks = np.array(
+            [
+                [machine.ring_peak_accesses_per_us * 1e6],
+                [machine.memory_bandwidth_gbs * 1e9],
+            ]
+        )
+        self._base_latency = np.array(
+            [[self._l3_latency], [self._memory_latency]], dtype=float
+        )
+        self.set_contention_parameters(self._parameters)
+        #: Fresh record row of each interned spec, by spec index.
+        self._fresh_rows: Dict[int, np.ndarray] = {}
         self._switch_factors: Dict[int, float] = {}
         self._switch_table: Optional[np.ndarray] = None
         self._governor = FrequencyGovernor(machine=machine, policy=frequency_policy)
@@ -358,23 +422,22 @@ class VectorEngine:
         # (every machine healthy) keeps the fault-free path untouched.
         self._freq_scale: Optional[np.ndarray] = None
 
-        # Per-machine accumulators (the machine-wide PMU view).
-        m = machines
-        self._m_counters = {field: np.zeros(m) for field in _COUNTER_FIELDS}
-        self._m_elapsed = np.zeros(m)
+        # Per-machine accumulators (the machine-wide PMU view), one row per
+        # counter field.
+        self._m_counters = np.zeros((_MACHINE_FIELDS, machines))
+        self._m_elapsed = np.zeros(machines)
 
         # Per-invocation state arrays, grown by doubling.  In
-        # non-materialized mode finished columns go onto a free list and are
+        # non-materialized mode finished rows go onto a free list and are
         # reused, so a long churn sweep's footprint is bounded by the peak
         # *active* fleet, not by total completions; materialized handles keep
-        # unique invocation ids for the scalar drivers, so there columns are
+        # unique invocation ids for the scalar drivers, so there rows are
         # append-only (figure-scale runs are bounded anyway).
         self._count = 0
         self._next_sandbox_id = 0
         self._free: List[int] = []
         self._grow(max(initial_capacity, 16))
         self._handles: List[Optional[Invocation]] = []
-        self._tags: List[Optional[Dict[str, str]]] = []
         self._completed: List[object] = []
 
     # ------------------------------------------------------------------ #
@@ -433,7 +496,7 @@ class VectorEngine:
         """High-water mark of concurrently tracked invocations.
 
         Total submissions live in ``stats.submissions``; in
-        non-materialized mode finished columns are recycled, so this stays
+        non-materialized mode finished rows are recycled, so this stays
         bounded by the peak active fleet.
         """
         return self._count
@@ -441,7 +504,7 @@ class VectorEngine:
     @property
     def active_count(self) -> int:
         """Invocations currently running anywhere in the fleet."""
-        return int(np.count_nonzero(self.active[: self._count]))
+        return sum(self._occupancy)
 
     @property
     def completed(self) -> List[object]:
@@ -451,7 +514,7 @@ class VectorEngine:
         attached through its view) is handed to them and then released:
         the drivers keep the handles they need, so a long churn run does
         not hold every finished handle.  Non-materialized engines recycle
-        finished columns and count completions in ``stats.completions``
+        finished rows and count completions in ``stats.completions``
         instead of retaining them.
         """
         return list(self._completed)
@@ -459,14 +522,7 @@ class VectorEngine:
     def machine_counters(self, machine: int = 0) -> CounterSnapshot:
         """Machine-wide counter snapshot (the Litmus-test view)."""
         return CounterSnapshot(
-            cycles=float(self._m_counters["cycles"][machine]),
-            instructions=float(self._m_counters["instructions"][machine]),
-            stall_cycles_l2_miss=float(
-                self._m_counters["stall_cycles_l2_miss"][machine]
-            ),
-            l2_misses=float(self._m_counters["l2_misses"][machine]),
-            l3_misses=float(self._m_counters["l3_misses"][machine]),
-            context_switches=float(self._m_counters["context_switches"][machine]),
+            *self._m_counters[:, machine].tolist(),
             elapsed_seconds=float(self._m_elapsed[machine]),
         )
 
@@ -478,10 +534,10 @@ class VectorEngine:
         per-epoch telemetry samplers use it (repro.obs.series), so it
         must never mutate state.
         """
-        cycles = float(self._m_counters["cycles"].sum())
+        cycles = float(self._m_counters[_R_CYCLES].sum())
         if cycles <= 0.0:
             return 0.0
-        return float(self._m_counters["stall_cycles_l2_miss"].sum()) / cycles
+        return float(self._m_counters[_R_STALL].sum()) / cycles
 
     def set_frequency_scale(self, machines, scale: float) -> None:
         """Scale selected machines' operating frequency from now on.
@@ -506,6 +562,9 @@ class VectorEngine:
         self._freq_scale[list(machines)] = scale
         if (self._freq_scale == 1.0).all():
             self._freq_scale = None
+        # Lane frequencies are part of the cached lane layout.
+        self._lanes = None
+        self._lanes_dirty = True
 
     def set_contention_parameters(
         self, parameters: Optional[ContentionParameters]
@@ -520,18 +579,22 @@ class VectorEngine:
         them in, so both backends stay in lockstep when drift is applied
         at the same segment boundary.
         """
-        self._parameters = parameters or ContentionParameters()
-        self._utility_exponent = self._parameters.cache_utility_exponent
-        self._max_util = self._parameters.max_utilization
-        self._ring_q = self._parameters.ring_queueing_coefficient
-        self._memory_q = self._parameters.memory_queueing_coefficient
-        self._pressure = self._parameters.private_pressure_sensitivity
+        self._parameters = parameters = parameters or ContentionParameters()
+        self._utility_exponent = parameters.cache_utility_exponent
+        self._max_util = parameters.max_utilization
+        self._queueing = np.array(
+            [
+                [parameters.ring_queueing_coefficient],
+                [parameters.memory_queueing_coefficient],
+            ]
+        )
+        self._pressure = parameters.private_pressure_sensitivity
 
     def invocation_spec(self, index: int) -> FunctionSpec:
         """The function spec of a tracked invocation, by index.
 
-        Valid while the invocation's column is live — including inside
-        finish listeners, which fire before the column is recycled.
+        Valid while the invocation's row is live — including inside
+        finish listeners, which fire before the row is recycled.
         """
         return self._specs.specs[int(self.spec_idx[index])]
 
@@ -541,7 +604,7 @@ class VectorEngine:
         The metering pipeline's per-completion reading: same validity
         window as :meth:`invocation_spec`.
         """
-        return float(self._ctr[6, index])
+        return float(self._rec[index, _R_ELAPSED])
 
     def add_finish_listener(self, listener: VectorFinishListener) -> None:
         """Register a completion callback (handle-or-index, engine).
@@ -555,7 +618,7 @@ class VectorEngine:
 
     def thread_occupancy(self, machine: int, thread_id: int) -> int:
         """Invocations co-located on one machine-local hardware thread."""
-        return len(self._queues[machine * self._threads_per_machine + thread_id])
+        return self._occupancy[machine * self._threads_per_machine + thread_id]
 
     def __getstate__(self) -> Dict[str, object]:
         # Finish listeners are arbitrary closures over driver state and are
@@ -564,57 +627,56 @@ class VectorEngine:
         state = self.__dict__.copy()
         state["_finish_listeners"] = []
         state["_machine_listeners"] = {}
+        # The lane layout is derived state; the restored engine rebuilds it.
+        state["_lanes"] = None
+        state["_lanes_dirty"] = True
         return state
 
     # ------------------------------------------------------------------ #
     # Storage management
     # ------------------------------------------------------------------ #
     def _grow(self, capacity: int) -> None:
-        def extend(array: Optional[np.ndarray], dtype=float) -> np.ndarray:
-            fresh = np.zeros(capacity, dtype=dtype)
+        def extend(name: str, dtype=float, width: Optional[int] = None) -> np.ndarray:
+            fresh = np.zeros(capacity if width is None else (capacity, width), dtype=dtype)
+            array = getattr(self, name, None)
             if array is not None:
                 fresh[: array.shape[0]] = array
             return fresh
 
-        def extend2(array: Optional[np.ndarray], rows: int) -> np.ndarray:
-            fresh = np.zeros((rows, capacity))
-            if array is not None:
-                fresh[:, : array.shape[1]] = array
-            return fresh
-
-        self.spec_idx = extend(getattr(self, "spec_idx", None), np.int64)
-        self.machine_of = extend(getattr(self, "machine_of", None), np.int64)
-        self.gthread = extend(getattr(self, "gthread", None), np.int64)
-        self.active = extend(getattr(self, "active", None), bool)
-        self.phase_index = extend(getattr(self, "phase_index", None), np.int64)
-        self.into_phase = extend(getattr(self, "into_phase", None))
-        self.retired_total = extend(getattr(self, "retired_total", None))
-        #: Rows: cycles, instructions, stall, l2, l3, switches, elapsed.
-        self._ctr = extend2(getattr(self, "_ctr", None), 7)
-        self.occ_weighted = extend(getattr(self, "occ_weighted", None))
-        self.occ_weight = extend(getattr(self, "occ_weight", None))
-        #: Rows: l3_hit_fraction, l3_hit_latency, memory_latency, inflation.
-        self._pen = extend2(getattr(self, "_pen", None), 4)
-        self.has_penalty = extend(getattr(self, "has_penalty", None), bool)
-        self.startup_recorded = extend(getattr(self, "startup_recorded", None), bool)
-        self.watch_startup = extend(getattr(self, "watch_startup", None), bool)
-        self.submit_time = extend(getattr(self, "submit_time", None))
-        self.finish_time = extend(getattr(self, "finish_time", None))
+        # Id-indexed arrays: drivers and listeners read ``machine_of`` and
+        # ``gthread`` by invocation index.
+        self.spec_idx = extend("spec_idx", np.int64)
+        self.machine_of = extend("machine_of", np.int64)
+        self.gthread = extend("gthread", np.int64)
+        self.phase_index = extend("phase_index", np.int64)
+        #: Runnable-order sort key: ``(gthread << _SEQUENCE_BITS) + submission``.
+        self._order_key = extend("_order_key", np.int64)
+        #: The packed per-invocation record (``_R_*`` columns).
+        self._rec = extend("_rec", width=_RECORD_WIDTH)
         self._capacity = capacity
+
+    def _fresh_row(self, spec: FunctionSpec) -> np.ndarray:
+        """Record row of a new invocation: zero counters, solo penalty."""
+        solo_hit = spec.phases[0].profile.solo_l3_hit_fraction
+        row = np.zeros(_RECORD_WIDTH)
+        row[_R_HIT_TERM] = (
+            solo_hit * self._l3_latency + (1.0 - solo_hit) * self._memory_latency
+        )
+        row[_R_INFLATION] = 1.0
+        row[_R_TOTAL] = spec.total_instructions
+        # Traffic generators have no probe window to watch.
+        row[_R_STARTUP] = (
+            math.inf if spec.is_traffic_generator else spec.startup_instructions
+        )
+        return row
 
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
     def _least_loaded_thread(self, machine: int) -> int:
         base = machine * self._threads_per_machine
-        best = 0
-        best_occ: Optional[int] = None
-        for local in range(self._threads_per_machine):
-            occ = len(self._queues[base + local])
-            if best_occ is None or occ < best_occ:
-                best = local
-                best_occ = occ
-        return best
+        occupancy = self._occupancy[base : base + self._threads_per_machine]
+        return occupancy.index(min(occupancy))
 
     def submit(
         self,
@@ -638,32 +700,27 @@ class VectorEngine:
             raise ValueError(f"thread {thread_id} out of range")
         if self._free:
             index = self._free.pop()
-            self._ctr[:, index] = 0.0
-            self.occ_weighted[index] = 0.0
-            self.occ_weight[index] = 0.0
         else:
             index = self._count
             if index >= self._capacity:
                 self._grow(self._capacity * 2)
             self._count = index + 1
             self._handles.append(None)
-            self._tags.append(None)
 
         spec_index = self._specs.intern(spec)
+        row = self._fresh_rows.get(spec_index)
+        if row is None:
+            row = self._fresh_rows[spec_index] = self._fresh_row(spec)
         gthread = machine * self._threads_per_machine + thread_id
         self.spec_idx[index] = spec_index
         self.machine_of[index] = machine
         self.gthread[index] = gthread
-        self.active[index] = True
         self.phase_index[index] = 0
-        self.into_phase[index] = 0.0
-        self.retired_total[index] = 0.0
-        self.has_penalty[index] = False
-        self.startup_recorded[index] = False
-        self.watch_startup[index] = not spec.is_traffic_generator
-        self.submit_time[index] = self._time
-        self._queues[gthread].append(index)
-        self._order_dirty = True
+        self._rec[index] = row
+        self._order_key[index] = (gthread << _SEQUENCE_BITS) + self._stats.submissions
+        self._occupancy[gthread] += 1
+        self._arrivals.append(index)
+        self._lanes_dirty = True
         self._stats.submissions += 1
 
         if self._materialize:
@@ -684,7 +741,6 @@ class VectorEngine:
             handle.machine_counters_at_start = self.machine_counters(machine)
             self._handles[index] = handle
             return handle
-        self._tags[index] = dict(tags) if tags else None
         return index
 
     # ------------------------------------------------------------------ #
@@ -711,18 +767,59 @@ class VectorEngine:
             self.run_epoch()
         return predicate(self)
 
-    def _runnable_order(self) -> np.ndarray:
-        """Active invocation indices in (thread id, queue position) order.
+    def _refresh_lanes(self) -> None:
+        """Bring the lane layout up to date after starts and finishes.
 
-        This is the order the scalar engine's ``_collect_runnable`` visits
-        invocations in; per-machine reductions accumulate in this order so
-        their floating-point folds match the scalar sums.
+        Lanes are the active invocations in (thread id, submission) order:
+        the order the scalar engine's ``_collect_runnable`` visits them in,
+        so per-machine reductions fold like the scalar sums.  Arrivals are
+        merged into the kept order with a stable sort on their keys.  When
+        every thread hosts as many lanes as before (a finished invocation
+        replaced on its thread), only the spec-dependent columns change.
         """
-        if self._order_dirty:
-            order = [index for queue in self._queues for index in queue]
-            self._order = np.array(order, dtype=np.int64)
-            self._order_dirty = False
-        return self._order
+        self._lanes_dirty = False
+        order = self._order
+        if self._arrivals:
+            order = np.concatenate((order, np.array(self._arrivals, dtype=np.int64)))
+            self._arrivals = []
+            order = order[np.argsort(self._order_key[order], kind="stable")]
+            self._order = order
+        if not order.size:
+            self._lanes = None
+            return
+        specs = self._specs
+        specs.rebuild(self._capacity_mb)
+        lanes = self._lanes
+        if lanes is None or lanes.occupancy != self._occupancy:
+            lanes = self._lanes = self._thread_layout(self.gthread[order])
+        spec_i = self.spec_idx[order]
+        lanes.idx = order
+        lanes.spec_row = spec_i * specs.width
+        lanes.phase_count = specs.phase_count[spec_i]
+
+    def _thread_layout(self, g_of: np.ndarray) -> _Lanes:
+        """New lanes on threads ``g_of``, with their thread-only columns."""
+        dt = self._config.epoch_seconds
+        m_of = g_of // self._threads_per_machine
+        per_thread = np.bincount(g_of, minlength=self._machines * self._threads_per_machine)
+        occ = per_thread[g_of]
+        frequency = self._frequency_hz(per_thread)[m_of]
+        # Each lane gets ``dt / occupancy`` of its thread (temporal sharing).
+        cycles_available = dt / occ * frequency
+        delta = np.zeros((g_of.size, _ACCUMULATED))
+        delta[:, _R_SWITCHES] = occ > 1
+        delta[:, _R_OCC_WEIGHTED] = occ * dt
+        delta[:, _R_OCC_WEIGHT] = dt
+        lanes = _Lanes()
+        lanes.occupancy = list(self._occupancy)
+        lanes.machine = m_of
+        lanes.multiplier = self._switch_factor_table(int(occ.max()))[occ]
+        lanes.cycles_available = cycles_available
+        lanes.full_budget = bool((cycles_available > 1.0).all())
+        lanes.frequency = frequency
+        lanes.delta = delta
+        lanes.bins = (m_of[:, None] * _ACCUMULATED + np.arange(_ACCUMULATED)).ravel()
+        return lanes
 
     def _switch_factor_table(self, max_occupancy: int) -> np.ndarray:
         """Switch factors for occupancies 0..max (``math.exp``-exact)."""
@@ -739,8 +836,10 @@ class VectorEngine:
         self._switch_table = table
         return table
 
-    def _frequency_hz(self, busy_threads: np.ndarray) -> np.ndarray:
+    def _frequency_hz(self, per_thread: np.ndarray) -> np.ndarray:
         """Per-machine operating frequency, memoized per busy-thread count.
+
+        ``per_thread`` is every hardware thread's lane count.
 
         Delegates to :class:`FrequencyGovernor` so the turbo curve has a
         single source of truth (and stays ``math.exp``-exact against the
@@ -750,6 +849,9 @@ class VectorEngine:
             if self._freq_scale is not None:
                 return self._fixed_frequency * self._freq_scale
             return self._fixed_frequency
+        busy_threads = np.count_nonzero(
+            per_thread.reshape(self._machines, self._threads_per_machine), axis=1
+        )
         freqs = np.empty(self._machines)
         for m, busy in enumerate(busy_threads.tolist()):
             cached = self._turbo_cache.get(busy)
@@ -763,193 +865,149 @@ class VectorEngine:
 
     def run_epoch(self) -> None:
         """Advance the whole fleet by one epoch."""
-        self._stats.epochs += 1
+        stats = self._stats
+        stats.epochs += 1
         dt = self._config.epoch_seconds
         now = self._time + dt
-        idx = self._runnable_order()
-        if idx.size == 0:
+        if self._lanes_dirty:
+            self._refresh_lanes()
+        lanes = self._lanes
+        if lanes is None:
             self._m_elapsed += dt
             self._time = now
             return
-        self._specs.rebuild()
-        specs = self._specs
-        n = idx.size
-        m_of = self.machine_of[idx]
-
-        occ_per_thread = np.bincount(
-            self.gthread[idx], minlength=self._machines * self._threads_per_machine
-        )
-        occ = occ_per_thread[self.gthread[idx]]
-        busy = np.count_nonzero(
-            occ_per_thread.reshape(self._machines, self._threads_per_machine), axis=1
-        )
-        frequency_hz = self._frequency_hz(busy)
-        share = dt / occ
-        multiplier = self._switch_factor_table(int(occ.max()))[occ]
-
-        spec_i = self.spec_idx[idx]
-        # Every runnable invocation is mid-execution, so its phase index is a
-        # valid row of the spec table (finished ones left the queues).
+        idx = lanes.idx
+        m_of = lanes.machine
+        multiplier = lanes.multiplier
+        cycles_available = lanes.cycles_available
+        table = self._specs.table
+        rec = self._rec.take(idx, axis=0)
+        # Every runnable invocation is mid-execution, so its phase is a real
+        # row of the profile table (finished ones left the lanes).
         phase = self.phase_index[idx]
-        cpi_base, l2_mpki, working_set, solo_hit, mlp = specs.epoch_stack[:, spec_i, phase]
-        mpki_per_inst = l2_mpki / 1000.0
-        frequency = frequency_hz[m_of]
-        cycles_available = share * frequency
-        remaining = np.maximum(
-            specs.total_instructions[spec_i] - self.retired_total[idx], 0.0
-        )
-        need = np.minimum(working_set, self._capacity_mb)
+        profile = table.take(lanes.spec_row + phase, axis=0)
+        cpi_base = profile[:, _P_CPI]
+        l2_mpki = profile[:, _P_MPKI]
+        mpki_per_inst = profile[:, _P_MPKI_PER_INST]
+        mlp = profile[:, _P_MLP]
+        retired_total = rec[:, _R_RETIRED]
+        remaining = np.maximum(rec[:, _R_TOTAL] - retired_total, 0.0)
 
         # ---------------- contention fixed point ---------------------- #
-        hit_frac, hit_latency, mem_latency, inflation = self._pen[:, idx]
-        has_pen = self.has_penalty[idx]
-        all_pen = bool(has_pen.all())
-        solo_stall = None
-        if not all_pen:
-            solo_stall = mpki_per_inst * (
-                (solo_hit * self._l3_latency + (1.0 - solo_hit) * self._memory_latency)
-                / mlp
-            )
+        # Warm-started from the previous epoch's penalties, or the solo
+        # penalty a lane was submitted with.
+        hit_term = rec[:, _R_HIT_TERM]
+        inflation = rec[:, _R_INFLATION]
+        machines = self._machines
         for _ in range(self._config.fixed_point_iterations):
-            self._stats.fixed_point_iterations += 1
-            stall = mpki_per_inst * (
-                (hit_frac * hit_latency + (1.0 - hit_frac) * mem_latency) / mlp
-            )
+            stats.fixed_point_iterations += 1
+            stall = mpki_per_inst * (hit_term / mlp)
             cpi_effective = cpi_base * inflation * multiplier + stall
-            if not all_pen:
-                stall = np.where(has_pen, stall, solo_stall)
-                cpi_effective = np.where(
-                    has_pen, cpi_effective, cpi_base * multiplier + stall
-                )
             instructions = np.minimum(cycles_available / cpi_effective, remaining)
             rate = instructions * l2_mpki / 1000.0 / dt
 
-            hit_frac = self._water_fill(rate, need, solo_hit, m_of)
-            lookups = np.bincount(m_of, weights=rate, minlength=self._machines)
-            dram_bytes = np.bincount(
-                m_of,
-                weights=rate * (1.0 - hit_frac) * self._line_size,
-                minlength=self._machines,
+            lookups = np.bincount(m_of, weights=rate, minlength=machines)
+            hit_frac = self._water_fill(
+                rate, profile[:, _P_NEED], profile[:, _P_SOLO_HIT], m_of, lookups
             )
-            ring_util = np.minimum(
-                np.maximum(lookups / self._ring_peak, 0.0), self._max_util
+            miss = 1.0 - hit_frac
+            # Row 0: ring utilisation from L3 lookups; row 1: memory-bus
+            # utilisation from DRAM bytes.  Lookups and bytes are never
+            # negative, so the scalar model's clamp at 0.0 is a no-op.
+            util = np.minimum(
+                np.array(
+                    (
+                        lookups,
+                        np.bincount(
+                            m_of,
+                            weights=rate * miss * self._line_size,
+                            minlength=machines,
+                        ),
+                    )
+                )
+                / self._peaks,
+                self._max_util,
             )
-            bw_util = np.minimum(
-                np.maximum(dram_bytes / self._memory_peak, 0.0), self._max_util
-            )
-            m_hit_latency = self._l3_latency * (
-                1.0 + self._ring_q * ring_util / (1.0 - ring_util)
-            )
-            m_mem_latency = self._memory_latency * (
-                1.0 + self._memory_q * bw_util / (1.0 - bw_util)
-            )
-            m_inflation = 1.0 + self._pressure * np.maximum(ring_util, bw_util)
-            hit_latency = m_hit_latency[m_of]
-            mem_latency = m_mem_latency[m_of]
-            inflation = m_inflation[m_of]
-            if not all_pen:
-                all_pen = True
-                has_pen = np.ones(n, dtype=bool)
-
-        self._pen[:, idx] = (hit_frac, hit_latency, mem_latency, inflation)
-        self.has_penalty[idx] = True
+            latency = self._base_latency * (1.0 + self._queueing * util / (1.0 - util))
+            inflation = (1.0 + self._pressure * np.maximum(util[0], util[1]))[m_of]
+            hit_term = hit_frac * latency[0][m_of] + miss * latency[1][m_of]
 
         # ---------------- epoch advancement --------------------------- #
-        # The scalar advance recomputes ``share * frequency_hz``; the product
-        # of the same two floats is bit-identical, so reuse the epoch's.
-        budget = cycles_available.copy()
-        phase_index = self.phase_index[idx].copy()
-        into_phase = self.into_phase[idx].copy()
-        retired_total = self.retired_total[idx].copy()
-        watch = self.watch_startup[idx] & ~self.startup_recorded[idx]
-        startup_instr = specs.startup_instructions[spec_i]
-        phase_count = specs.phase_count[spec_i]
-        stopped = np.zeros(n, dtype=bool)
-        tot_cycles = np.zeros(n)
-        tot_instr = np.zeros(n)
-        tot_stall = np.zeros(n)
-        tot_l2 = np.zeros(n)
-        tot_l3 = np.zeros(n)
-        hit_term = hit_frac * hit_latency + (1.0 - hit_frac) * mem_latency
-        miss_fraction = 1.0 - hit_frac
-        max_passes = int(specs.phase_count.max()) + 2
-        for pass_no in range(max_passes):
-            mask = (budget > 1.0) & (phase_index < phase_count) & ~stopped
-            if pass_no == 0 and mask.all():
-                # Every lane advances and no phase moved yet, so the
-                # epoch-start profile gathers are still valid — no fancy
-                # indexing, whole-array operations throughout.
-                live = slice(None)
-                p_instr = specs.phase_instructions[spec_i, phase]
-                p_cpi = cpi_base
-                p_mpki = l2_mpki
-                stall = mpki_per_inst * (hit_term / mlp)
+        # Every pass runs on all lanes; lanes out of budget, finished or
+        # stopped at their probe window are masked and retire exactly 0.0,
+        # which leaves every sum they touch unchanged.  The first pass
+        # reuses the epoch's profile gather.
+        delta = lanes.delta.copy()
+        budget = cycles_available
+        into_phase = rec[:, _R_INTO_PHASE]
+        startup = rec[:, _R_STARTUP]
+        phase_count = lanes.phase_count
+        for pass_no in range(self._specs.max_passes):
+            if pass_no == 0 and lanes.full_budget:
+                live = None
             else:
-                live = np.nonzero(mask)[0]
-                if live.size == 0:
+                live = (budget > 1.0) & (phase < phase_count) & (retired_total < startup)
+                if not live.any():
                     break
-                sp = spec_i[live]
-                ph = phase_index[live]
-                p_instr, p_cpi, p_mpki, p_mlp = specs.advance_stack[:, sp, ph]
-                stall = (p_mpki / 1000.0) * (hit_term[live] / p_mlp)
-            self._stats.advance_passes += 1
-            cpi_effective = p_cpi * inflation[live] * multiplier[live] + stall
-            possible = budget[live] / cpi_effective
-            available = p_instr - into_phase[live]
-            retired = np.minimum(possible, available)
+                if pass_no:
+                    profile = table.take(lanes.spec_row + phase, axis=0)
+            stats.advance_passes += 1
+            stall = profile[:, _P_MPKI_PER_INST] * (hit_term / profile[:, _P_MLP])
+            cpi_effective = profile[:, _P_CPI] * inflation * multiplier + stall
+            retired = np.minimum(
+                budget / cpi_effective, profile[:, _P_INSTRUCTIONS] - into_phase
+            )
+            if live is not None:
+                retired = np.where(live, retired, 0.0)
             cycles = retired * cpi_effective
-            tot_cycles[live] += cycles
-            tot_instr[live] += retired
-            tot_stall[live] += retired * stall
-            l2 = retired * p_mpki / 1000.0
-            tot_l2[live] += l2
-            tot_l3[live] += l2 * miss_fraction[live]
-            budget[live] -= cycles
-            new_into = into_phase[live] + retired
-            retired_total[live] += retired
-            crossed = new_into >= p_instr - 1e-9
-            phase_index[live] += crossed
-            into_phase[live] = np.where(crossed, 0.0, new_into)
-            stopped[live] |= watch[live] & (retired_total[live] >= startup_instr[live])
+            delta[:, _R_CYCLES] += cycles
+            delta[:, _R_INSTRUCTIONS] += retired
+            delta[:, _R_STALL] += retired * stall
+            l2 = retired * profile[:, _P_MPKI] / 1000.0
+            delta[:, _R_L2] += l2
+            delta[:, _R_L3] += l2 * miss
+            budget = budget - cycles
+            into_phase = into_phase + retired
+            retired_total = retired_total + retired
+            crossed = into_phase >= profile[:, _P_END]
+            if live is not None:
+                crossed &= live
+            phase = phase + crossed
+            into_phase = np.where(crossed, 0.0, into_phase)
 
-        self.phase_index[idx] = phase_index
-        self.into_phase[idx] = into_phase
-        self.retired_total[idx] = retired_total
-        occupied = tot_cycles / frequency
-        switches = (occ > 1).astype(float)
-        self._ctr[:, idx] += np.stack(
-            (tot_cycles, tot_instr, tot_stall, tot_l2, tot_l3, switches, occupied)
-        )
-        self.occ_weighted[idx] += occ * dt
-        self.occ_weight[idx] += dt
+        delta[:, _R_ELAPSED] = delta[:, _R_CYCLES] / lanes.frequency
+        rec[:, _R_INTO_PHASE] = into_phase
+        rec[:, _R_RETIRED] = retired_total
+        rec[:, _R_HIT_TERM] = hit_term
+        rec[:, _R_INFLATION] = inflation
+        rec[:, :_ACCUMULATED] += delta
+        # Each row scatters as one opaque item: half the cost of a float
+        # row assignment.
+        np.put(self._rec.view(_ROW), idx, rec.view(_ROW))
+        self.phase_index[idx] = phase
 
-        deltas = {
-            "cycles": tot_cycles,
-            "instructions": tot_instr,
-            "stall_cycles_l2_miss": tot_stall,
-            "l2_misses": tot_l2,
-            "l3_misses": tot_l3,
-            "context_switches": switches,
-        }
         # Startup (Litmus probe) completions must snapshot the machine-wide
         # counters exactly as the scalar engine does: mid-epoch, after the
         # contributions of invocations at earlier runnable positions (and
         # the recorder itself) but before later ones.
-        startup_now = np.nonzero(watch & (retired_total >= startup_instr))[0]
-        if self._materialize and startup_now.size:
-            self._record_startups(startup_now, idx, m_of, deltas, now)
-        self.startup_recorded[idx[startup_now]] = True
+        startup_now = (retired_total >= startup).nonzero()[0]
+        if startup_now.size:
+            if self._materialize:
+                self._record_startups(startup_now, idx, m_of, delta, now)
+            self._rec[idx[startup_now], _R_STARTUP] = math.inf
 
-        for field, values in deltas.items():
-            self._m_counters[field] += np.bincount(
-                m_of, weights=values, minlength=self._machines
-            )
+        self._m_counters += (
+            np.bincount(lanes.bins, weights=delta.ravel(), minlength=machines * _ACCUMULATED)
+            .reshape(machines, _ACCUMULATED)[:, :_MACHINE_FIELDS]
+            .T
+        )
         self._m_elapsed += dt
         self._time = now
 
-        finished_positions = np.nonzero(phase_index >= phase_count)[0]
-        if finished_positions.size:
-            self._finish(idx[finished_positions])
+        finished = phase >= phase_count
+        if finished.any():
+            self._order = idx[~finished]
+            self._finish(idx[finished])
 
     # ------------------------------------------------------------------ #
     # Water-filling cache allocation (vectorized per machine)
@@ -960,6 +1018,7 @@ class VectorEngine:
         need: np.ndarray,
         solo_hit: np.ndarray,
         m_of: np.ndarray,
+        lookups: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Effective L3 hit fractions under capacity contention.
 
@@ -987,27 +1046,50 @@ class VectorEngine:
         ``pow`` per element, and ``pow(1.0, e)`` is exactly 1.0, so fully
         covered lanes need no mask.  ``tests/test_props_water_fill.py``
         fails loudly on a NumPy build where that stops holding.
+
+        Fast path: when every lane has a positive rate and need, the first
+        pass offers every machine's whole cache to every lane (``rem`` is
+        the capacity everywhere, every machine's rate total is positive),
+        so its shares need no masks, no ``alloc`` and no ``rem``.  When no
+        share reaches its lane's need (the usual case) that pass is the
+        whole fill and the shares are the allocations; otherwise the pass
+        loop continues from it.  ``lookups``, the per-machine rate fold
+        ``np.bincount(m_of, weights=rate)`` when the caller has it, is that
+        pass's rate total.
         """
         machines = self._machines
-        active = (rate > 0.0) & (need > 0.0)
-        alloc = np.zeros(rate.shape[0])
-        rem = np.full(machines, self._capacity_mb)
-        live = active
-        while True:
-            live_rate = np.where(live, rate, 0.0)
-            total = np.bincount(m_of, weights=live_rate, minlength=machines)
-            processing = (total > 0.0) & (rem > 1e-12)
-            live = live & processing[m_of]
-            if not live.any():
-                break
+        capacity = self._capacity_mb
+        exponent = self._utility_exponent
+        share = None
+        if capacity > 1e-12 and rate.min() > 0.0 and need.min() > 0.0:
             self._stats.water_fill_passes += 1
-            # Machines off the offer divide by 1.0, never 0/0; their lanes'
-            # shares are never read.
-            share = rem[m_of] * live_rate / np.where(processing, total, 1.0)[m_of]
-            capped = live & (share >= need)
+            if lookups is None:
+                lookups = np.bincount(m_of, weights=rate, minlength=machines)
+            share = capacity * rate / lookups[m_of]
+            capped = share >= need
             if not capped.any():
-                alloc[live] = share[live]
-                break
+                return solo_hit * np.float_power(np.minimum(share / need, 1.0), exponent)
+            active = live = np.ones(rate.shape[0], dtype=bool)
+        else:
+            active = live = (rate > 0.0) & (need > 0.0)
+        alloc = np.zeros(rate.shape[0])
+        rem = np.full(machines, capacity)
+        while True:
+            if share is None:
+                live_rate = np.where(live, rate, 0.0)
+                total = np.bincount(m_of, weights=live_rate, minlength=machines)
+                processing = (total > 0.0) & (rem > 1e-12)
+                live = live & processing[m_of]
+                if not live.any():
+                    break
+                self._stats.water_fill_passes += 1
+                # Machines off the offer divide by 1.0, never 0/0; their
+                # lanes' shares are never read.
+                share = rem[m_of] * live_rate / np.where(processing, total, 1.0)[m_of]
+                capped = live & (share >= need)
+                if not capped.any():
+                    alloc[live] = share[live]
+                    break
             # Machines without a capped lane distribute their shares and
             # stop (the scalar loop's final branch); capped lanes take
             # their need, granted off ``rem`` in runnable order.
@@ -1018,9 +1100,12 @@ class VectorEngine:
             alloc[capped] = need[capped]
             np.subtract.at(rem, m_of[capped], need[capped])
             live = live & has_capped[m_of] & ~capped
+            share = None
+        # Allocations are never negative, so the scalar model's clamp of
+        # the coverage at 0.0 is a no-op.
         hit = solo_hit.copy()
-        coverage = np.minimum(np.maximum(alloc[active] / need[active], 0.0), 1.0)
-        hit[active] = solo_hit[active] * np.float_power(coverage, self._utility_exponent)
+        coverage = np.minimum(alloc[active] / need[active], 1.0)
+        hit[active] = solo_hit[active] * np.float_power(coverage, exponent)
         return hit
 
     # ------------------------------------------------------------------ #
@@ -1031,42 +1116,23 @@ class VectorEngine:
         positions: np.ndarray,
         idx: np.ndarray,
         m_of: np.ndarray,
-        deltas: Dict[str, np.ndarray],
+        delta: np.ndarray,
         now: float,
     ) -> None:
         """Fill probe-window snapshots for invocations finishing startup."""
+        lane = np.arange(idx.size)
         for position in positions.tolist():
             index = int(idx[position])
             handle = self._handles[index]
             if handle is None or handle.startup_recorded:
                 continue
             machine = int(m_of[position])
-            prefix = (m_of == machine) & (np.arange(idx.size) <= position)
+            prefix = (m_of == machine) & (lane <= position)
             machine_end = CounterSnapshot(
-                cycles=float(
-                    self._m_counters["cycles"][machine]
-                    + deltas["cycles"][prefix].sum()
-                ),
-                instructions=float(
-                    self._m_counters["instructions"][machine]
-                    + deltas["instructions"][prefix].sum()
-                ),
-                stall_cycles_l2_miss=float(
-                    self._m_counters["stall_cycles_l2_miss"][machine]
-                    + deltas["stall_cycles_l2_miss"][prefix].sum()
-                ),
-                l2_misses=float(
-                    self._m_counters["l2_misses"][machine]
-                    + deltas["l2_misses"][prefix].sum()
-                ),
-                l3_misses=float(
-                    self._m_counters["l3_misses"][machine]
-                    + deltas["l3_misses"][prefix].sum()
-                ),
-                context_switches=float(
-                    self._m_counters["context_switches"][machine]
-                    + deltas["context_switches"][prefix].sum()
-                ),
+                *[
+                    float(self._m_counters[field, machine] + delta[prefix, field].sum())
+                    for field in range(_MACHINE_FIELDS)
+                ],
                 elapsed_seconds=float(self._m_elapsed[machine]),
             )
             self._sync_handle_counters(index)
@@ -1076,26 +1142,24 @@ class VectorEngine:
         handle = self._handles[index]
         if handle is None:
             return
+        row = self._rec[index].tolist()
         counters = handle.counters
-        column = self._ctr[:, index]
-        counters.cycles = float(column[0])
-        counters.instructions = float(column[1])
-        counters.stall_cycles_l2_miss = float(column[2])
-        counters.l2_misses = float(column[3])
-        counters.l3_misses = float(column[4])
-        counters.context_switches = float(column[5])
-        counters.elapsed_seconds = float(column[6])
-        handle._occupancy_weighted_sum = float(self.occ_weighted[index])
-        handle._occupancy_weight = float(self.occ_weight[index])
+        counters.cycles = row[_R_CYCLES]
+        counters.instructions = row[_R_INSTRUCTIONS]
+        counters.stall_cycles_l2_miss = row[_R_STALL]
+        counters.l2_misses = row[_R_L2]
+        counters.l3_misses = row[_R_L3]
+        counters.context_switches = row[_R_SWITCHES]
+        counters.elapsed_seconds = row[_R_ELAPSED]
+        handle._occupancy_weighted_sum = row[_R_OCC_WEIGHTED]
+        handle._occupancy_weight = row[_R_OCC_WEIGHT]
 
     def _finish(self, finished_indices: np.ndarray) -> None:
         """Retire finished invocations and fire listeners in runnable order."""
         materialize = self._materialize
+        self._lanes_dirty = True
         for index in finished_indices.tolist():
-            self.active[index] = False
-            self.finish_time[index] = self._time
-            self._queues[int(self.gthread[index])].remove(index)
-            self._order_dirty = True
+            self._occupancy[int(self.gthread[index])] -= 1
             self._stats.completions += 1
             machine = int(self.machine_of[index])
             machine_listeners = self._machine_listeners.get(machine)
@@ -1116,7 +1180,7 @@ class VectorEngine:
                     listener(handle, view)
             if not materialize:
                 # Listener work (e.g. churn resubmission) is done with this
-                # index; recycle its column so churn fleets stay bounded by
+                # index; recycle its row so churn fleets stay bounded by
                 # their active size.  (``completed`` therefore only tracks
                 # materialized handles.)
                 self._free.append(index)

@@ -30,8 +30,11 @@ from typing import Optional
 from repro.diskcache import atomic_write_text
 from repro.serve.replay import StreamReplay
 
-#: Bump whenever the replay's pickled layout changes incompatibly.
-CHECKPOINT_VERSION = 2
+#: Bump whenever the replay's pickled layout changes incompatibly.  Version
+#: 3: the vector engine packs per-invocation state into one record and
+#: solo-initialises penalties at submit; a version-2 engine's penalty
+#: columns of not-yet-run lanes hold no penalty at all.
+CHECKPOINT_VERSION = 3
 
 _FORMAT = "repro-stream-checkpoint"
 

@@ -215,4 +215,5 @@ class StreamReplay:
             scenarios=tuple(self._drive.results()),
             wall_seconds=self._wall_seconds,
             horizon_seconds=self._drive.sweep.horizon_seconds,
+            engine_counts=self._drive.engine_counts(),
         )

@@ -83,6 +83,18 @@ def test_previous_checkpoint_version_is_refused(chaos, tmp_path):
         load_checkpoint(path)
 
 
+def test_version_2_checkpoint_is_refused(chaos, tmp_path):
+    """Version 2 predates the packed vector-engine record: its lanes that
+    never ran carry no solo penalty, so restoring it would move results."""
+    replay = StreamReplay(chaos)
+    path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["checkpoint_version"] = 2
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_checkpoint(path)
+
+
 def _spec_with_meter_faults(fault_toml: str):
     return parse_spec_text(
         'name = "meters"\n'

@@ -174,7 +174,7 @@ def test_checkpoint_envelope_is_inspectable_json(tmp_path):
     replay.ingest(TraceChunk(index=0, start_epoch=0, end_epoch=10))
     path = save_checkpoint(tmp_path / "c.ckpt.json", replay)
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["checkpoint_version"] == 2
+    assert envelope["checkpoint_version"] == 3
     assert envelope["fingerprint"] == replay.fingerprint
     assert envelope["chunks_ingested"] == 1
     assert envelope["epochs_done"] == 10

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from repro.hardware.topology import CASCADE_LAKE_5218
+from repro.platform.batch import VectorEngine, VectorEngineConfig
+from repro.workloads.registry import default_registry
+from repro.workloads.synthetic import WorkloadMixer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,7 +150,8 @@ def test_unreadable_trajectory_exits_loudly(tmp_path):
 
 
 def test_committed_baseline_matches_the_ci_smoke_shape():
-    """The committed anchor must cover every gated CI smoke entry."""
+    """The committed anchor must cover every gated CI smoke entry, and the
+    counted runs must carry their engine work counters."""
     document = json.loads((ROOT / "BENCH_baseline.json").read_text(encoding="utf-8"))
     signatures = set()
     for run in document["runs"]:
@@ -160,3 +167,65 @@ def test_committed_baseline_matches_the_ci_smoke_shape():
         "sg2042-like",
         "contention.memory_queueing_coefficient",
     ) in signatures
+    counted = {gate._count_signature(run) for run in document["runs"]} - {None}
+    assert {signature[0] for signature in counted} == {"fleet-sweep", "stream-replay"}
+
+
+def _engine_counts(fixed_point_iterations):
+    """Work counters of a small vector fleet run for 50 epochs."""
+    mixer = WorkloadMixer(default_registry().scaled(0.05).all(), seed=5)
+    engine = VectorEngine(
+        CASCADE_LAKE_5218,
+        machines=2,
+        config=VectorEngineConfig(fixed_point_iterations=fixed_point_iterations),
+        materialize_handles=False,
+    )
+    for machine in range(2):
+        for thread in range(4):
+            engine.submit(mixer.next(), machine=machine, thread_id=thread)
+    for _ in range(50):
+        engine.run_epoch()
+    return dataclasses.asdict(engine.stats)
+
+
+def _counted_stream_run(seconds, counts):
+    return dict(_stream_run(seconds), finished=True, engine_counts=counts)
+
+
+def test_one_extra_fixed_point_iteration_fails_the_counter_gate(tmp_path, capsys):
+    counts = _engine_counts(2)
+    baseline = _trajectory(tmp_path / "base.json", [_counted_stream_run(0.1, counts)])
+    same = _trajectory(tmp_path / "same.json", [_counted_stream_run(0.1, dict(counts))])
+    assert gate.main(["--baseline", str(baseline), "--fresh", str(same)]) == 0
+    assert "counters match exactly" in capsys.readouterr().out
+
+    extra = _engine_counts(3)
+    assert extra["fixed_point_iterations"] == counts["fixed_point_iterations"] + 50
+    # Just as fast, but one more fixed-point iteration per epoch.
+    fresh = _trajectory(tmp_path / "fresh.json", [_counted_stream_run(0.1, extra)])
+    assert gate.main(["--baseline", str(baseline), "--fresh", str(fresh)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL stream-replay/engine_counts" in out
+    assert "fixed_point_iterations 100 -> 150" in out
+
+
+def test_counter_gate_skips_runs_without_counters(tmp_path, capsys):
+    counts = _engine_counts(2)
+    baseline = _trajectory(tmp_path / "base.json", [_stream_run(0.1)])
+    fresh = _trajectory(tmp_path / "fresh.json", [_counted_stream_run(0.1, counts)])
+    assert gate.main(["--baseline", str(baseline), "--fresh", str(fresh)]) == 0
+    assert "SKIP stream-replay/engine_counts" in capsys.readouterr().out
+    # A fresh run without counters never compares against counted ones.
+    assert gate.main(["--baseline", str(fresh), "--fresh", str(baseline)]) == 0
+
+
+def test_sweep_counters_match_on_the_scenario_grid(tmp_path):
+    counts = {"epochs": 500, "fixed_point_iterations": 1000}
+    base = dict(_sweep_run(0.2, 0.4), scenarios=["all-m2-c5"], engine_counts=counts)
+    moved = dict(base, engine_counts=dict(counts, epochs=501))
+    other_grid = dict(moved, scenarios=["memory-intensive-m2-c5"])
+    baseline = str(_trajectory(tmp_path / "base.json", [base]))
+    moved_path = str(_trajectory(tmp_path / "moved.json", [moved]))
+    other_path = str(_trajectory(tmp_path / "other.json", [other_grid]))
+    assert gate.main(["--baseline", baseline, "--fresh", moved_path]) == 1
+    assert gate.main(["--baseline", baseline, "--fresh", other_path]) == 0

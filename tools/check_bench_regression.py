@@ -20,6 +20,13 @@ trajectory against the anchor:
   baseline fails the gate.  Fresh entries with no baseline match are
   reported and skipped — new smoke steps should not fail CI until a
   baseline for them is committed.
+* Fleet-sweep and stream-replay runs also carry the vector engine's
+  deterministic work counters (``engine_counts``: epochs, fixed-point
+  iterations, water-fill passes, advance passes, submissions,
+  completions).  Those are free of noise, so they gate exactly: a fresh
+  run whose counters differ in any field from a baseline run of the same
+  workload fails.  A change that moves them on purpose refreshes the
+  baseline.  Runs without counters, on either side, are skipped.
 
 Usage:
     python tools/check_bench_regression.py \
@@ -34,7 +41,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Sources the gate understands; anything else (pytest-benchmark runs,
 #: figure-runner checks) is wall-clock dominated by shared-cache warmup
@@ -42,6 +49,9 @@ from typing import Any, Dict, Iterator, List, Tuple
 GATED_SOURCES = ("fleet-sweep", "stream-replay", "calibrate")
 
 Signature = Tuple[Any, ...]
+
+#: Sources whose runs carry ``engine_counts``.
+COUNTED_SOURCES = ("fleet-sweep", "stream-replay")
 
 
 def _load_runs(path: Path) -> List[Dict[str, Any]]:
@@ -88,6 +98,57 @@ def _signatures(run: Dict[str, Any]) -> Iterator[Tuple[Signature, float]]:
         yield key, float(seconds)
 
 
+def _count_signature(run: Dict[str, Any]) -> Optional[Signature]:
+    """The workload a run's ``engine_counts`` belong to, or ``None``."""
+    source = run.get("source")
+    if source not in COUNTED_SOURCES or not isinstance(run.get("engine_counts"), dict):
+        return None
+    if source == "fleet-sweep":
+        return (
+            source,
+            run.get("fleet_size"),
+            run.get("horizon_seconds"),
+            run.get("registry_scale"),
+            tuple(run.get("scenarios") or ()),
+        )
+    return (source, run.get("spec"), run.get("chunk_epochs"), run.get("finished"))
+
+
+def _count_mismatches(
+    baseline_runs: List[Dict[str, Any]], fresh_runs: List[Dict[str, Any]]
+) -> Tuple[int, List[str]]:
+    """Compare work counters exactly; returns (compared, failure lines)."""
+    baseline: Dict[Signature, List[Dict[str, Any]]] = {}
+    for run in baseline_runs:
+        signature = _count_signature(run)
+        if signature is not None:
+            baseline.setdefault(signature, []).append(run["engine_counts"])
+    compared = 0
+    failures = []
+    for run in fresh_runs:
+        signature = _count_signature(run)
+        if signature is None:
+            continue
+        label = _describe(signature[:1] + ("engine_counts",) + signature[1:4])
+        if signature not in baseline:
+            print(f"SKIP {label}: no baseline counters")
+            continue
+        compared += 1
+        fresh = run["engine_counts"]
+        for counts in baseline[signature]:
+            moved = [
+                f"{name} {counts.get(name)} -> {fresh.get(name)}"
+                for name in sorted(set(counts) | set(fresh))
+                if counts.get(name) != fresh.get(name)
+            ]
+            if moved:
+                failures.append(f"FAIL {label}: {', '.join(moved)}")
+                break
+        else:
+            print(f"ok   {label}: counters match exactly")
+    return compared, failures
+
+
 def _describe(signature: Signature) -> str:
     source, figure = signature[0], signature[1]
     detail = ", ".join(str(part) for part in signature[2:] if part is not None)
@@ -111,15 +172,17 @@ def main(argv: List[str] | None = None) -> int:
         print("--factor must be > 1.0", file=sys.stderr)
         return 2
 
+    baseline_runs = _load_runs(args.baseline)
+    fresh_runs = _load_runs(args.fresh)
     baseline_best: Dict[Signature, float] = {}
-    for run in _load_runs(args.baseline):
+    for run in baseline_runs:
         for signature, seconds in _signatures(run):
             best = baseline_best.get(signature)
             if best is None or seconds < best:
                 baseline_best[signature] = seconds
 
     fresh: List[Tuple[Signature, float]] = []
-    for run in _load_runs(args.fresh):
+    for run in fresh_runs:
         fresh.extend(_signatures(run))
 
     if not fresh:
@@ -146,6 +209,16 @@ def main(argv: List[str] | None = None) -> int:
         if ratio > args.factor:
             failures.append((signature, seconds, best, ratio))
 
+    counts_compared, count_failures = _count_mismatches(baseline_runs, fresh_runs)
+    for line in count_failures:
+        print(line)
+    if count_failures:
+        print(
+            f"\n{len(count_failures)} of {counts_compared} counted run(s) changed "
+            "their engine work counters; refresh BENCH_baseline.json only if "
+            "the change is intended",
+            file=sys.stderr,
+        )
     if failures:
         print(
             f"\n{len(failures)} of {compared} compared entr"
@@ -154,8 +227,12 @@ def main(argv: List[str] | None = None) -> int:
             "slowdown is intended",
             file=sys.stderr,
         )
+    if failures or count_failures:
         return 1
-    print(f"\nall {compared} compared entries within {args.factor:g}x of baseline")
+    print(
+        f"\nall {compared} compared entries within {args.factor:g}x of baseline; "
+        f"{counts_compared} counted run(s) match exactly"
+    )
     return 0
 
 
