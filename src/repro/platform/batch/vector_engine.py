@@ -411,8 +411,6 @@ class VectorEngine:
             [[self._l3_latency], [self._memory_latency]], dtype=float
         )
         self.set_contention_parameters(self._parameters)
-        #: Fresh record row of each interned spec, by spec index.
-        self._fresh_rows: Dict[int, np.ndarray] = {}
         self._switch_factors: Dict[int, float] = {}
         self._switch_table: Optional[np.ndarray] = None
         self._governor = FrequencyGovernor(machine=machine, policy=frequency_policy)
@@ -708,15 +706,12 @@ class VectorEngine:
             self._handles.append(None)
 
         spec_index = self._specs.intern(spec)
-        row = self._fresh_rows.get(spec_index)
-        if row is None:
-            row = self._fresh_rows[spec_index] = self._fresh_row(spec)
         gthread = machine * self._threads_per_machine + thread_id
         self.spec_idx[index] = spec_index
         self.machine_of[index] = machine
         self.gthread[index] = gthread
         self.phase_index[index] = 0
-        self._rec[index] = row
+        self._rec[index] = self._fresh_row(spec)
         self._order_key[index] = (gthread << _SEQUENCE_BITS) + self._stats.submissions
         self._occupancy[gthread] += 1
         self._arrivals.append(index)

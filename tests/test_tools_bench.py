@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 from repro.hardware.topology import CASCADE_LAKE_5218
-from repro.platform.batch import VectorEngine, VectorEngineConfig
+from repro.platform.batch import (
+    FleetSweep,
+    VectorEngine,
+    VectorEngineConfig,
+    partition_scenarios,
+    scenario_grid,
+)
 from repro.workloads.registry import default_registry
 from repro.workloads.synthetic import WorkloadMixer
 
@@ -229,3 +235,34 @@ def test_sweep_counters_match_on_the_scenario_grid(tmp_path):
     other_path = str(_trajectory(tmp_path / "other.json", [other_grid]))
     assert gate.main(["--baseline", baseline, "--fresh", moved_path]) == 1
     assert gate.main(["--baseline", baseline, "--fresh", other_path]) == 0
+
+
+def test_sweep_counters_are_only_compared_at_the_same_shard_count(tmp_path, capsys):
+    """Every shard steps the whole horizon and ``run_sharded`` sums the
+    shards' counters, so a 2-shard run of a multi-scenario grid does more
+    work than the 1-shard run with the same results."""
+    grid = scenario_grid(["all", "memory-intensive"], [1], [1], cores_per_machine=3, seed=5)
+    tiny = dict(horizon_seconds=0.05, epoch_seconds=1e-3, registry_scale=0.05)
+    single = FleetSweep(grid, **tiny).run("vector").engine_counts
+    parts = [
+        FleetSweep([grid[index] for index in part], **tiny).run("vector").engine_counts
+        for part in partition_scenarios(grid, 2)
+    ]
+    summed = {name: sum(part[name] for part in parts) for name in single}
+    assert summed["epochs"] == 2 * single["epochs"]
+
+    def sweep(shards, counts):
+        return dict(
+            _sweep_run(0.2, 0.4, fleet_size=2),
+            scenarios=[scenario.name for scenario in grid],
+            shards=shards,
+            engine_counts=counts,
+        )
+
+    one_shard = str(_trajectory(tmp_path / "one.json", [sweep(1, single)]))
+    two_shards = str(_trajectory(tmp_path / "two.json", [sweep(2, summed)]))
+    assert gate.main(["--baseline", one_shard, "--fresh", two_shards]) == 0
+    assert "SKIP fleet-sweep/engine_counts" in capsys.readouterr().out
+    both = str(_trajectory(tmp_path / "both.json", [sweep(1, single), sweep(2, summed)]))
+    assert gate.main(["--baseline", both, "--fresh", two_shards]) == 0
+    assert "counters match exactly" in capsys.readouterr().out

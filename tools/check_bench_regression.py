@@ -25,7 +25,10 @@ trajectory against the anchor:
   iterations, water-fill passes, advance passes, submissions,
   completions).  Those are free of noise, so they gate exactly: a fresh
   run whose counters differ in any field from a baseline run of the same
-  workload fails.  A change that moves them on purpose refreshes the
+  workload fails.  A fleet-sweep's counters are summed over its shards
+  and every shard steps the whole horizon, so the shard count is part of
+  its workload (results are the same whatever the shard count; the work
+  is not).  A change that moves the counters on purpose refreshes the
   baseline.  Runs without counters, on either side, are skipped.
 
 Usage:
@@ -109,6 +112,8 @@ def _count_signature(run: Dict[str, Any]) -> Optional[Signature]:
             run.get("fleet_size"),
             run.get("horizon_seconds"),
             run.get("registry_scale"),
+            run.get("shards"),
+            run.get("spec"),
             tuple(run.get("scenarios") or ()),
         )
     return (source, run.get("spec"), run.get("chunk_epochs"), run.get("finished"))
@@ -129,7 +134,7 @@ def _count_mismatches(
         signature = _count_signature(run)
         if signature is None:
             continue
-        label = _describe(signature[:1] + ("engine_counts",) + signature[1:4])
+        label = _describe(signature[:1] + ("engine_counts",) + signature[1:-1])
         if signature not in baseline:
             print(f"SKIP {label}: no baseline counters")
             continue

@@ -4,13 +4,13 @@
 Builds perfbench's seeded ``fleet-stream`` spec (two mixes, every fault
 type, metered, 8 cores per machine) at several fleet sizes, steps its
 batch :class:`~repro.platform.batch.sweep.FleetDrive` to the horizon, and
-prints the median wall time per epoch over ``--repeats`` runs.  Drive set-up
-is not timed; finish listeners (churn resubmission, metering) are, as in
-the real sweep.
+prints the median wall time per epoch over ``REPEATS`` runs of seed
+``SEED``.  Drive set-up is not timed; finish listeners (churn
+resubmission, metering) are, as in the real sweep.
 
 Usage (from the repository root)::
 
-    python tools/epoch_cost.py [--repeats 3] [--seed 1] [--src DIR]
+    python tools/epoch_cost.py [--src DIR]
 
 ``--src`` measures another checkout's ``src`` directory (say, of the
 parent commit) with this checkout's spec generator, so two trees compare
@@ -29,15 +29,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: (lanes, machines per mix, co-location, horizon seconds).
 SHAPES = ((64, 2, 2, 2.0), (320, 4, 5, 2.0), (1280, 16, 5, 0.6), (5120, 64, 5, 0.2))
+#: Runs per shape (the median is printed) and the spec seed.
+REPEATS = 3
+SEED = 1
 
 
-def epoch_microseconds(machines: int, colocation: int, horizon: float, seed: int) -> float:
+def epoch_microseconds(machines: int, colocation: int, horizon: float) -> float:
     from perfbench.workloads import FleetShape, fleet_spec_document
     from repro.platform.batch.sweep import FleetDrive
     from repro.scenarios import compile_spec, parse_spec
 
     shape = FleetShape(horizon_seconds=horizon, machines=machines, colocation=colocation)
-    compiled = compile_spec(parse_spec(fleet_spec_document(seed, shape), origin="epoch_cost"))
+    compiled = compile_spec(parse_spec(fleet_spec_document(SEED, shape), origin="epoch_cost"))
     drive = FleetDrive(compiled.sweep(meter=True))
     start = time.perf_counter()
     drive.step()
@@ -46,16 +49,11 @@ def epoch_microseconds(machines: int, colocation: int, horizon: float, seed: int
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT)]
     for lanes, machines, colocation, horizon in SHAPES:
-        samples = [
-            epoch_microseconds(machines, colocation, horizon, args.seed)
-            for _ in range(args.repeats)
-        ]
+        samples = [epoch_microseconds(machines, colocation, horizon) for _ in range(REPEATS)]
         print(f"{lanes:5d} lanes: {statistics.median(samples):8.1f} us/epoch")
     return 0
 
